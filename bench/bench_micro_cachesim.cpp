@@ -1,14 +1,17 @@
-// Micro-benchmarks of the cache/machine substrate: raw cache accesses,
-// hierarchy walks with and without the signature unit, and full simulated
-// machine steps — the numbers that determine how long the figure benches
-// take per simulated reference.
+// Micro-benchmarks of the cache/machine substrate: raw cache and TLB
+// accesses, Zipf sampling, hierarchy walks with and without the signature
+// unit, and full simulated machine steps — the numbers that determine how
+// long the figure benches take per simulated reference.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cachesim/hierarchy.hpp"
+#include "cachesim/tlb.hpp"
 #include "machine/machine.hpp"
+#include "util/rng.hpp"
 #include "workload/benchmark_model.hpp"
 
 namespace {
@@ -28,6 +31,51 @@ BENCHMARK(BM_CacheAccess)
     ->Arg(static_cast<int>(cachesim::ReplacementKind::TreePlru))
     ->Arg(static_cast<int>(cachesim::ReplacementKind::Random))
     ->Arg(static_cast<int>(cachesim::ReplacementKind::Srrip));
+
+void BM_TlbAccess(benchmark::State& state) {
+  // A pregenerated ring of addresses: mostly a 48-page hot set that fits
+  // the 64-entry TLB (hint hits), plus a cold tail of 4096 pages that
+  // misses, scans and evicts.
+  cachesim::Tlb tlb(64, 4096);
+  util::Rng rng(5);
+  constexpr std::size_t kRing = 1 << 16;
+  std::vector<std::uint64_t> addrs(kRing);
+  for (auto& addr : addrs) {
+    const std::uint64_t page = rng.next_bool(0.9) ? rng.next_below(48) : rng.next_below(4096);
+    addr = page * 4096 + rng.next_below(4096);
+  }
+  std::size_t pos = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tlb.access(addrs[pos]));
+    pos = (pos + 1) & (kRing - 1);
+  }
+}
+BENCHMARK(BM_TlbAccess);
+
+void BM_ZipfSample(benchmark::State& state) {
+  // The shape of the benchmark's util.zipf probe: n 4096, skew 0.99.
+  const util::ZipfSampler zipf(4096, 0.99);
+  util::Rng rng(6);
+  for (auto _ : state) benchmark::DoNotOptimize(zipf.sample(rng));
+}
+BENCHMARK(BM_ZipfSample);
+
+void BM_ZipfConstruct(benchmark::State& state) {
+  // The 14 samplers one native-grid setup builds (17,975 CDF entries): the
+  // bulk of that workload's setup time, which sampling speedups must not
+  // grow.
+  constexpr std::pair<std::size_t, double> kSamplers[] = {
+      {1638, 0.9}, {1024, 0.8}, {737, 0.9},  {1228, 0.7}, {1228, 1.0},
+      {327, 0.9},  {1638, 0.9}, {1024, 0.8}, {491, 1.0},  {1024, 0.8},
+      {1228, 0.7}, {1228, 1.0}, {4915, 0.9}, {245, 1.1}};
+  for (auto _ : state) {
+    for (const auto& [n, skew] : kSamplers) {
+      const util::ZipfSampler zipf(n, skew);
+      benchmark::DoNotOptimize(zipf);
+    }
+  }
+}
+BENCHMARK(BM_ZipfConstruct)->Unit(benchmark::kMicrosecond);
 
 void BM_HierarchyAccess(benchmark::State& state) {
   cachesim::HierarchyConfig cfg;

@@ -1,29 +1,48 @@
 #include "cachesim/cache.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/check.hpp"
 #include "util/hotpath.hpp"
 
 namespace symbiosis::cachesim {
 
+namespace {
+
+/// Validate before anything is derived from the geometry: sets() divides by
+/// ways and lines() by line_bytes.
+const CacheGeometry& validated(const CacheGeometry& geometry) {
+  geometry.validate();
+  return geometry;
+}
+
+}  // namespace
+
 Cache::Cache(CacheGeometry geometry, ReplacementKind replacement, std::size_t requestors,
              std::uint64_t seed)
-    : geom_(geometry),
-      ways_(geometry.ways),
-      sets_(geometry.sets()),
-      set_mask_(geometry.sets() - 1),
-      set_bits_(geometry.set_bits()),
-      policy_(make_replacement(replacement, geometry.sets(), geometry.ways, seed)),
-      lines_(geometry.lines()),
+    : geom_(validated(geometry)),
+      ways_(geom_.ways),
+      sets_(geom_.sets()),
+      set_mask_(geom_.sets() - 1),
+      set_bits_(geom_.set_bits()),
+      tags_(geom_.lines(), kNoTag),
+      dirty_(geom_.lines(), 0),
+      owner_(geom_.lines(), 0),
+      free_lines_(geom_.lines()),
+      replacement_(replacement, geom_.sets(), geom_.ways, seed),
       per_requestor_(requestors),
-      fill_range_(requestors, WayRange{0, geometry.ways}) {
-  geom_.validate();
+      fill_range_(requestors, WayRange{0, geom_.ways}) {
+  SYM_CHECK_LE(requestors, std::size_t{std::numeric_limits<std::uint32_t>::max()},
+               "cachesim.bounds")
+      << "requestor ids are stored as 32-bit line owners";
 }
 
 void Cache::set_partition(const CachePartition& partition,
                           const std::vector<std::size_t>& group_of_requestor) {
   SYM_CHECK(partition.enabled(), "cachesim.partition")
       << "set_partition with an empty partition (use the default full range)";
-  SYM_CHECK(policy_->supports_partitioning(), "cachesim.partition")
+  SYM_CHECK(replacement_.supports_partitioning(), "cachesim.partition")
       << "replacement policy cannot confine victims to a way range";
   SYM_CHECK_EQ(group_of_requestor.size(), per_requestor_.size(), "cachesim.partition")
       << "need one group id per requestor";
@@ -56,23 +75,21 @@ SYM_HOT AccessResult Cache::access(LineAddr line, bool is_write, std::size_t req
   SYM_DCHECK_BOUNDS(set, sets_, "cachesim.bounds") << "set index from line decode";
   result.set = set;
 
+  CacheStats& mine = per_requestor_[requestor];
   ++total_.accesses;
-  ++per_requestor_[requestor].accesses;
+  ++mine.accesses;
 
   // Hit path.
-  Line* const set_lines = &lines_[set * ways_];
-  for (std::size_t w = 0; w < ways_; ++w) {
-    Line& entry = set_lines[w];
-    if (entry.valid && entry.tag == tag) {
-      result.hit = true;
-      result.way = w;
-      entry.dirty = entry.dirty || is_write;
-      // symhot: indirect(replacement-policy virtual dispatch; every override is a SYM_HOT root)
-      policy_->on_touch(set, w);
-      ++total_.hits;
-      ++per_requestor_[requestor].hits;
-      return result;
-    }
+  const std::size_t base = set * ways_;
+  const std::size_t hit_way = find(set, tag);
+  if (hit_way < ways_) {
+    result.hit = true;
+    result.way = hit_way;
+    dirty_[base + hit_way] |= static_cast<std::uint8_t>(is_write);
+    replacement_.on_touch(set, hit_way);
+    ++total_.hits;
+    ++mine.hits;
+    return result;
   }
 
   // Miss: fill into an invalid way of the requestor's range if any, else
@@ -80,55 +97,45 @@ SYM_HOT AccessResult Cache::access(LineAddr line, bool is_write, std::size_t req
   // every range pre-resolved to [0, ways), making this path identical to
   // the pre-partition scan.
   ++total_.misses;
-  ++per_requestor_[requestor].misses;
+  ++mine.misses;
 
+  std::uint64_t* const row = &tags_[base];
   const WayRange range = fill_range_[requestor];
-  std::size_t way = ways_;  // sentinel
-  for (std::size_t w = range.begin; w < range.end; ++w) {
-    if (!set_lines[w].valid) {
-      way = w;
-      break;
-    }
-  }
-  if (way == ways_) {
-    // symhot: indirect(replacement-policy virtual dispatch; every override is a SYM_HOT root)
-    way = policy_->victim_in(set, range.begin, range.end);
+  std::size_t way = range.begin;
+  if (free_lines_ == 0) way = range.end;  // nothing to find: skip the scan
+  while (way < range.end && (row[way] != kNoTag || way == alias_way_)) ++way;
+  if (way < range.end) {
+    --free_lines_;
+  } else {
+    way = replacement_.victim_in(set, range.begin, range.end);
     SYM_DCHECK(way >= range.begin && way < range.end, "cachesim.replacement")
         << "replacement policy chose a victim outside the requestor's way range";
-    Line& victim = set_lines[way];
-    SYM_DCHECK(victim.valid, "cachesim.replacement")
+    SYM_DCHECK(row[way] != kNoTag || way == alias_way_, "cachesim.replacement")
         << "victim way " << way << " of full set " << set << " is invalid";
-    SYM_DCHECK_BOUNDS(victim.owner, per_requestor_.size(), "cachesim.bounds");
+    const std::size_t victim_owner = owner_[base + way];
+    SYM_DCHECK_BOUNDS(victim_owner, per_requestor_.size(), "cachesim.bounds");
     result.evicted = true;
-    result.victim_line = (victim.tag << set_bits_) | set;
-    result.victim_dirty = victim.dirty;
+    result.victim_line = (row[way] << set_bits_) | set;
+    result.victim_dirty = dirty_[base + way] != 0;
     ++total_.evictions;
-    ++per_requestor_[victim.owner].evictions;
-    if (victim.dirty) {
+    ++per_requestor_[victim_owner].evictions;
+    if (result.victim_dirty) {
       ++total_.writebacks;
-      ++per_requestor_[victim.owner].writebacks;
+      ++per_requestor_[victim_owner].writebacks;
     }
   }
 
-  Line& entry = line_at(set, way);
-  entry.tag = tag;
-  entry.valid = true;
-  entry.dirty = is_write;
-  entry.owner = requestor;
-  // symhot: indirect(replacement-policy virtual dispatch; every override is a SYM_HOT root)
-  policy_->on_fill(set, way);
+  row[way] = tag;
+  dirty_[base + way] = static_cast<std::uint8_t>(is_write);
+  owner_[base + way] = static_cast<std::uint32_t>(requestor);
+  if (tag == kNoTag || way == alias_way_) [[unlikely]] alias_way_ = tag == kNoTag ? way : kNoWay;
+  replacement_.on_fill(set, way);
   result.way = way;
   return result;
 }
 
 bool Cache::probe(LineAddr line) const noexcept {
-  const auto set = static_cast<std::size_t>(line & set_mask_);
-  const std::uint64_t tag = line >> set_bits_;
-  for (std::size_t w = 0; w < ways_; ++w) {
-    const Line& entry = line_at(set, w);
-    if (entry.valid && entry.tag == tag) return true;
-  }
-  return false;
+  return find(static_cast<std::size_t>(line & set_mask_), line >> set_bits_) < ways_;
 }
 
 bool Cache::invalidate(LineAddr line) noexcept {
@@ -139,31 +146,34 @@ bool Cache::invalidate(LineAddr line) noexcept {
 
 bool Cache::invalidate(LineAddr line, std::size_t& set_out, std::size_t& way_out) noexcept {
   const auto set = static_cast<std::size_t>(line & set_mask_);
-  const std::uint64_t tag = line >> set_bits_;
-  for (std::size_t w = 0; w < ways_; ++w) {
-    Line& entry = line_at(set, w);
-    if (entry.valid && entry.tag == tag) {
-      entry.valid = false;
-      entry.dirty = false;
-      set_out = set;
-      way_out = w;
-      return true;
-    }
-  }
-  return false;
+  const std::size_t way = find(set, line >> set_bits_);
+  if (way == ways_) return false;
+  ++free_lines_;
+  tags_[set * ways_ + way] = kNoTag;
+  dirty_[set * ways_ + way] = 0;
+  if (way == alias_way_) alias_way_ = kNoWay;
+  set_out = set;
+  way_out = way;
+  return true;
 }
 
 std::size_t Cache::occupancy(std::size_t requestor) const noexcept {
   std::size_t count = 0;
-  for (const Line& entry : lines_) {
-    if (entry.valid && (requestor == kAnyRequestor || entry.owner == requestor)) ++count;
+  for (std::size_t i = 0; i < tags_.size(); ++i) {
+    // A 1-set cache indexes lines by way, so alias_way_ is also a line index.
+    const bool valid = tags_[i] != kNoTag || i == alias_way_;
+    if (valid && (requestor == kAnyRequestor || owner_[i] == requestor)) ++count;
   }
   return count;
 }
 
 void Cache::reset() noexcept {
-  for (auto& entry : lines_) entry = Line{};
-  policy_->reset();
+  std::fill(tags_.begin(), tags_.end(), kNoTag);
+  std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
+  std::fill(owner_.begin(), owner_.end(), std::uint32_t{0});
+  alias_way_ = kNoWay;
+  free_lines_ = tags_.size();
+  replacement_.reset();
   reset_stats();
 }
 

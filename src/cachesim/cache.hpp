@@ -6,8 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "cachesim/addr.hpp"
@@ -44,6 +42,8 @@ struct CacheStats {
 class Cache {
  public:
   /// @param requestors number of distinct requestor ids (cores) for stats
+  /// Throws std::invalid_argument for a malformed geometry (validated
+  /// before anything is derived from it).
   Cache(CacheGeometry geometry, ReplacementKind replacement, std::size_t requestors = 1,
         std::uint64_t seed = 1);
 
@@ -89,12 +89,10 @@ class Cache {
   static constexpr std::size_t kAnyRequestor = static_cast<std::size_t>(-1);
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::size_t owner = 0;  ///< requestor that last filled the line
-  };
+  /// Tag of an invalid way. A real tag equals it only in a 1-set cache at
+  /// line ~0; that one line is tracked by alias_way_ instead.
+  static constexpr std::uint64_t kNoTag = ~std::uint64_t{0};
+  static constexpr std::size_t kNoWay = ~std::size_t{0};
 
   /// Fill/victim way range of one requestor ([0, ways) when unpartitioned).
   struct WayRange {
@@ -102,11 +100,14 @@ class Cache {
     std::size_t end = 0;
   };
 
-  [[nodiscard]] Line& line_at(std::size_t set, std::size_t way) noexcept {
-    return lines_[set * ways_ + way];
-  }
-  [[nodiscard]] const Line& line_at(std::size_t set, std::size_t way) const noexcept {
-    return lines_[set * ways_ + way];
+  /// Way of @p set holding @p tag, or ways_ when absent.
+  [[nodiscard]] std::size_t find(std::size_t set, std::uint64_t tag) const noexcept {
+    // The sentinel also marks every invalid way, so it cannot be searched for.
+    if (tag == kNoTag) [[unlikely]] return alias_way_ == kNoWay ? ways_ : alias_way_;
+    const std::uint64_t* const row = &tags_[set * ways_];
+    std::size_t w = 0;
+    while (w < ways_ && row[w] != tag) ++w;
+    return w;
   }
 
   CacheGeometry geom_;
@@ -117,8 +118,18 @@ class Cache {
   std::size_t sets_;
   std::uint64_t set_mask_;   ///< sets_ - 1 (sets is a power of two)
   unsigned set_bits_;
-  std::unique_ptr<ReplacementPolicy> policy_;
-  std::vector<Line> lines_;
+  // Per-line state in parallel arrays indexed set * ways_ + way, so a
+  // lookup scans one contiguous run of tags.
+  std::vector<std::uint64_t> tags_;    ///< kNoTag marks an invalid way
+  std::vector<std::uint8_t> dirty_;
+  std::vector<std::uint32_t> owner_;   ///< requestor that last filled the line
+  /// The way holding line ~0 of a 1-set cache (whose tag is kNoTag), or
+  /// kNoWay; always kNoWay in caches with more than one set.
+  std::size_t alias_way_ = kNoWay;
+  /// Invalid lines in the whole cache; once warm this is usually 0 and a
+  /// miss skips the search for a free way.
+  std::size_t free_lines_;
+  Replacement replacement_;
   CacheStats total_;
   std::vector<CacheStats> per_requestor_;
   /// Per-requestor fill range, pre-resolved so the access hot path is one

@@ -1,5 +1,6 @@
 #include "cachesim/replacement.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -28,228 +29,110 @@ ReplacementKind parse_replacement(const std::string& name) {
   throw std::invalid_argument("unknown replacement policy: " + name);
 }
 
-namespace {
-
-/// True LRU via a monotone 64-bit timestamp per line.
-class LruPolicy final : public ReplacementPolicy {
- public:
-  LruPolicy(std::size_t sets, std::size_t ways)
-      : ways_(ways), stamp_(sets * ways, 0) {}
-
-  SYM_HOT void on_touch(std::size_t set, std::size_t way) noexcept override {
-    stamp_[set * ways_ + way] = ++clock_;
-  }
-  SYM_HOT void on_fill(std::size_t set, std::size_t way) noexcept override { on_touch(set, way); }
-
-  SYM_HOT std::size_t victim(std::size_t set) noexcept override { return victim_in(set, 0, ways_); }
-
-  SYM_HOT std::size_t victim_in(std::size_t set, std::size_t begin, std::size_t end) noexcept override {
-    std::size_t best = begin;
-    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t w = begin; w < end; ++w) {
-      const std::uint64_t s = stamp_[set * ways_ + w];
-      if (s < oldest) {
-        oldest = s;
-        best = w;
-      }
-    }
-    return best;
-  }
-
-  void reset() noexcept override {
-    std::fill(stamp_.begin(), stamp_.end(), std::uint64_t{0});
-    clock_ = 0;
-  }
-
- private:
-  std::size_t ways_;
-  std::vector<std::uint64_t> stamp_;
-  std::uint64_t clock_ = 0;
-};
-
-/// FIFO: victim is the oldest FILL (hits do not refresh).
-class FifoPolicy final : public ReplacementPolicy {
- public:
-  FifoPolicy(std::size_t sets, std::size_t ways)
-      : ways_(ways), stamp_(sets * ways, 0) {}
-
-  SYM_HOT void on_touch(std::size_t, std::size_t) noexcept override {}
-  SYM_HOT void on_fill(std::size_t set, std::size_t way) noexcept override {
-    stamp_[set * ways_ + way] = ++clock_;
-  }
-
-  SYM_HOT std::size_t victim(std::size_t set) noexcept override { return victim_in(set, 0, ways_); }
-
-  SYM_HOT std::size_t victim_in(std::size_t set, std::size_t begin, std::size_t end) noexcept override {
-    std::size_t best = begin;
-    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t w = begin; w < end; ++w) {
-      const std::uint64_t s = stamp_[set * ways_ + w];
-      if (s < oldest) {
-        oldest = s;
-        best = w;
-      }
-    }
-    return best;
-  }
-
-  void reset() noexcept override {
-    std::fill(stamp_.begin(), stamp_.end(), std::uint64_t{0});
-    clock_ = 0;
-  }
-
- private:
-  std::size_t ways_;
-  std::vector<std::uint64_t> stamp_;
-  std::uint64_t clock_ = 0;
-};
-
-class RandomPolicy final : public ReplacementPolicy {
- public:
-  RandomPolicy(std::size_t ways, std::uint64_t seed) : ways_(ways), rng_(seed) {}
-
-  SYM_HOT void on_touch(std::size_t, std::size_t) noexcept override {}
-  SYM_HOT void on_fill(std::size_t, std::size_t) noexcept override {}
-  SYM_HOT std::size_t victim(std::size_t set) noexcept override { return victim_in(set, 0, ways_); }
-  SYM_HOT std::size_t victim_in(std::size_t, std::size_t begin, std::size_t end) noexcept override {
-    // One draw either way, so the unpartitioned call consumes the stream
-    // exactly like the pre-partition victim() did.
-    return begin + static_cast<std::size_t>(rng_.next_below(end - begin));
-  }
-  void reset() noexcept override {}
-
- private:
-  std::size_t ways_;
-  util::Rng rng_;
-};
-
-/// Static RRIP (SRRIP-HP, Jaleel et al. ISCA'10) with 2-bit re-reference
-/// prediction values: fills predict "long" (RRPV = kMax - 1), hits promote
-/// to "near-immediate" (RRPV = 0), and the victim search scans for an RRPV
-/// of kMax, aging the whole (partition range of the) set until one appears.
-/// Scan-resistant where LRU thrashes: a streaming workload's lines age out
-/// before they displace the resident working set — exactly the co-runner
-/// interference pattern the paper's Fig 3 measures on the shared L2.
-class SrripPolicy final : public ReplacementPolicy {
- public:
-  SrripPolicy(std::size_t sets, std::size_t ways)
-      : ways_(ways), rrpv_(sets * ways, kMax) {}
-
-  SYM_HOT void on_touch(std::size_t set, std::size_t way) noexcept override {
-    rrpv_[set * ways_ + way] = 0;
-  }
-  SYM_HOT void on_fill(std::size_t set, std::size_t way) noexcept override {
-    rrpv_[set * ways_ + way] = kMax - 1;
-  }
-
-  SYM_HOT std::size_t victim(std::size_t set) noexcept override { return victim_in(set, 0, ways_); }
-
-  SYM_HOT std::size_t victim_in(std::size_t set, std::size_t begin, std::size_t end) noexcept override {
-    std::uint8_t* const row = &rrpv_[set * ways_];
-    for (;;) {
-      for (std::size_t w = begin; w < end; ++w) {
-        if (row[w] == kMax) return w;
-      }
-      // Age the range; terminates because some RRPV strictly increases each
-      // round (all values are <= kMax and the range is non-empty).
-      for (std::size_t w = begin; w < end; ++w) ++row[w];
-    }
-  }
-
-  void reset() noexcept override { std::fill(rrpv_.begin(), rrpv_.end(), kMax); }
-
- private:
-  static constexpr std::uint8_t kMax = 3;  // 2-bit RRPV
-
-  std::size_t ways_;
-  std::vector<std::uint8_t> rrpv_;
-};
-
-/// Tree pseudo-LRU: a binary decision tree of (ways-1) bits per set.
-/// Requires power-of-two associativity.
-class TreePlruPolicy final : public ReplacementPolicy {
- public:
-  TreePlruPolicy(std::size_t sets, std::size_t ways)
-      : ways_(ways), tree_(sets * (ways > 1 ? ways - 1 : 1), 0) {
-    if (ways == 0 || (ways & (ways - 1)) != 0) {
-      throw std::invalid_argument("TreePlru requires power-of-two associativity");
-    }
-  }
-
-  SYM_HOT void on_touch(std::size_t set, std::size_t way) noexcept override {
-    // Walk from the root toward the leaf, pointing each node AWAY from way.
-    std::uint8_t* nodes = &tree_[set * (ways_ - 1)];
-    std::size_t node = 0;
-    std::size_t lo = 0, hi = ways_;
-    while (hi - lo > 1) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (way < mid) {
-        nodes[node] = 1;  // next victim search goes right
-        node = 2 * node + 1;
-        hi = mid;
-      } else {
-        nodes[node] = 0;  // next victim search goes left
-        node = 2 * node + 2;
-        lo = mid;
-      }
-    }
-  }
-
-  SYM_HOT void on_fill(std::size_t set, std::size_t way) noexcept override { on_touch(set, way); }
-
-  SYM_HOT std::size_t victim_in(std::size_t set, std::size_t begin, std::size_t end) noexcept override {
-    // The decision tree spans the whole set; a sub-range walk would need
-    // per-range trees. Cache::set_partition rejects tree-PLRU via
-    // supports_partitioning(), so only the full range can reach here.
-    SYM_DCHECK(begin == 0 && end == ways_, "cachesim.replacement")
-        << "tree-PLRU cannot confine victims to a way range";
-    (void)begin;
-    (void)end;
-    return victim(set);
-  }
-
-  [[nodiscard]] bool supports_partitioning() const noexcept override { return false; }
-
-  SYM_HOT std::size_t victim(std::size_t set) noexcept override {
-    const std::uint8_t* nodes = &tree_[set * (ways_ - 1)];
-    std::size_t node = 0;
-    std::size_t lo = 0, hi = ways_;
-    while (hi - lo > 1) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (nodes[node] == 0) {
-        node = 2 * node + 1;
-        hi = mid;
-      } else {
-        node = 2 * node + 2;
-        lo = mid;
-      }
-    }
-    // Replacement-stack integrity: the walk must land on a real leaf and
-    // never read past this set's (ways - 1) tree nodes.
-    SYM_DCHECK_LT(lo, ways_, "cachesim.replacement") << "tree-PLRU walk escaped the set";
-    SYM_DCHECK_LT(node, 2 * ways_ - 1, "cachesim.replacement");
-    return lo;
-  }
-
-  void reset() noexcept override { std::fill(tree_.begin(), tree_.end(), std::uint8_t{0}); }
-
- private:
-  std::size_t ways_;
-  std::vector<std::uint8_t> tree_;
-};
-
-}  // namespace
-
-std::unique_ptr<ReplacementPolicy> make_replacement(ReplacementKind kind, std::size_t sets,
-                                                    std::size_t ways, std::uint64_t seed) {
+Replacement::Replacement(ReplacementKind kind, std::size_t sets, std::size_t ways,
+                         std::uint64_t seed)
+    : kind_(kind), ways_(ways), rng_(seed) {
   switch (kind) {
-    case ReplacementKind::Lru: return std::make_unique<LruPolicy>(sets, ways);
-    case ReplacementKind::Fifo: return std::make_unique<FifoPolicy>(sets, ways);
-    case ReplacementKind::Random: return std::make_unique<RandomPolicy>(ways, seed);
-    case ReplacementKind::TreePlru: return std::make_unique<TreePlruPolicy>(sets, ways);
-    case ReplacementKind::Srrip: return std::make_unique<SrripPolicy>(sets, ways);
+    case ReplacementKind::Lru:
+    case ReplacementKind::Fifo: stamp_.assign(sets * ways, 0); break;
+    case ReplacementKind::Srrip: bits_.assign(sets * ways, kRrpvMax); break;
+    case ReplacementKind::TreePlru:
+      if (ways == 0 || (ways & (ways - 1)) != 0) {
+        throw std::invalid_argument("TreePlru requires power-of-two associativity");
+      }
+      bits_.assign(sets * (ways > 1 ? ways - 1 : 1), 0);
+      break;
+    case ReplacementKind::Random: break;
   }
-  throw std::invalid_argument("make_replacement: bad kind");
+}
+
+void Replacement::point_away(std::size_t set, std::size_t way) noexcept {
+  // Walk from the root toward the leaf, pointing each node AWAY from way.
+  std::uint8_t* nodes = &bits_[set * (ways_ - 1)];
+  std::size_t node = 0;
+  std::size_t lo = 0, hi = ways_;
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (way < mid) {
+      nodes[node] = 1;  // next victim search goes right
+      node = 2 * node + 1;
+      hi = mid;
+    } else {
+      nodes[node] = 0;  // next victim search goes left
+      node = 2 * node + 2;
+      lo = mid;
+    }
+  }
+}
+
+SYM_HOT std::size_t Replacement::victim_in(std::size_t set, std::size_t begin,
+                                           std::size_t end) noexcept {
+  switch (kind_) {
+    case ReplacementKind::Lru:
+    case ReplacementKind::Fifo: {
+      // Oldest stamp, lowest way on ties. Every way of a full range was
+      // filled at least once, so its stamps are distinct and the minimum
+      // is unique. Written as selects: which way holds the minimum is data
+      // dependent, so a branch here would mispredict.
+      const std::uint64_t* const row = &stamp_[set * ways_];
+      std::size_t best = begin;
+      std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
+      for (std::size_t w = begin; w < end; ++w) {
+        const bool older = row[w] < oldest;
+        oldest = older ? row[w] : oldest;
+        best = older ? w : best;
+      }
+      return best;
+    }
+    case ReplacementKind::Random:
+      // One draw whatever the range, so a partitioned and an unpartitioned
+      // cache consume the stream at the same rate.
+      return begin + static_cast<std::size_t>(rng_.next_below(end - begin));
+    case ReplacementKind::Srrip: {
+      // The lowest way whose RRPV is distant (kRrpvMax); while none is, age
+      // the range. Terminates because every round raises some RRPV (all are
+      // <= kRrpvMax and the range is non-empty).
+      std::uint8_t* const row = &bits_[set * ways_];
+      for (;;) {
+        for (std::size_t w = begin; w < end; ++w) {
+          if (row[w] == kRrpvMax) return w;
+        }
+        for (std::size_t w = begin; w < end; ++w) ++row[w];
+      }
+    }
+    case ReplacementKind::TreePlru: break;
+  }
+
+  // Tree-PLRU: follow the decision bits from the root. The tree spans the
+  // whole set, so Cache::set_partition refuses it and only the full range
+  // can reach here.
+  SYM_DCHECK(begin == 0 && end == ways_, "cachesim.replacement")
+      << "tree-PLRU cannot confine victims to a way range";
+  const std::uint8_t* nodes = &bits_[set * (ways_ - 1)];
+  std::size_t node = 0;
+  std::size_t lo = 0, hi = ways_;
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (nodes[node] == 0) {
+      node = 2 * node + 1;
+      hi = mid;
+    } else {
+      node = 2 * node + 2;
+      lo = mid;
+    }
+  }
+  // Replacement-stack integrity: the walk must land on a real leaf and
+  // never read past this set's (ways - 1) tree nodes.
+  SYM_DCHECK_LT(lo, ways_, "cachesim.replacement") << "tree-PLRU walk escaped the set";
+  SYM_DCHECK_LT(node, 2 * ways_ - 1, "cachesim.replacement");
+  return lo;
+}
+
+void Replacement::reset() noexcept {
+  std::fill(stamp_.begin(), stamp_.end(), std::uint64_t{0});
+  clock_ = 0;
+  std::fill(bits_.begin(), bits_.end(),
+            kind_ == ReplacementKind::Srrip ? kRrpvMax : std::uint8_t{0});
 }
 
 }  // namespace symbiosis::cachesim

@@ -52,18 +52,26 @@ void Tlb::touch(std::uint32_t i) noexcept {
 
 SYM_HOT bool Tlb::access(std::uint64_t addr) noexcept {
   const std::uint64_t page = addr >> page_bits_;
-  const std::size_t n = pages_.size();
+  std::uint32_t& hint = hint_[page & (kHintSlots - 1)];
+  // Invalid slots hold kNoPage too, so the hint is never trusted for it.
+  if (pages_[hint] == page && page != kNoPage) [[likely]] {
+    ++hits_;
+    touch(hint);
+    return true;
+  }
 
-  // Invalid slots hold kNoPage, so one compare per slot decides the hit. If
-  // the page collides with the sentinel (page_bytes == 1 and addr == ~0),
-  // restrict the scan to the valid suffix.
+  // One compare per slot decides the hit. If the page collides with the
+  // sentinel (page_bytes == 1 and addr == ~0), restrict the scan to the
+  // valid suffix.
+  const std::size_t n = pages_.size();
   std::size_t i = (page != kNoPage) ? 0 : invalid_count_;
   for (; i < n; ++i) {
     if (pages_[i] == page) break;
   }
-  if (i < n) [[likely]] {
+  if (i < n) {
     ++hits_;
-    touch(static_cast<std::uint32_t>(i));
+    hint = static_cast<std::uint32_t>(i);
+    touch(hint);
     return true;
   }
 
@@ -77,6 +85,7 @@ SYM_HOT bool Tlb::access(std::uint64_t addr) noexcept {
     touch(victim);
   }
   pages_[victim] = page;
+  hint = victim;
   return false;
 }
 

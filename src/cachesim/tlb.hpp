@@ -5,6 +5,7 @@
 // footprint. Flushed on context switch (no ASIDs, like the era's x86).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -20,7 +21,10 @@ namespace symbiosis::cachesim {
 /// minimum stamp") assigns a distinct stamp on every touch, the minimum is
 /// always unique and equals the list tail — the victim choice is
 /// bit-identical to the classic scan. This sits on the per-access hot path
-/// of every Hierarchy walk.
+/// of every Hierarchy walk, so a direct-mapped page-to-slot hint is checked
+/// before the scan; a hint is only ever a guess confirmed against pages_,
+/// and a valid page sits in exactly one slot, so the hint finds the same
+/// slot the scan would.
 class Tlb {
  public:
   /// @param entries    TLB capacity
@@ -46,6 +50,8 @@ class Tlb {
   static constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
   /// Null link for the recency list.
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  /// Hint slots, indexed by the low page-number bits.
+  static constexpr std::size_t kHintSlots = 64;
 
   void detach(std::uint32_t i) noexcept;
   void push_front(std::uint32_t i) noexcept;
@@ -64,6 +70,9 @@ class Tlb {
   std::size_t invalid_count_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  /// Last slot seen holding a page with these low bits; every entry is a
+  /// valid slot index, possibly stale.
+  std::array<std::uint32_t, kHintSlots> hint_{};
 };
 
 }  // namespace symbiosis::cachesim

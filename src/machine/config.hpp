@@ -2,8 +2,9 @@
 //
 // Presets mirror the paper's three testbeds (§2.3, §4), scaled to keep a
 // full run-to-completion simulation in the milliseconds-to-seconds range
-// (see DESIGN.md §5): cache capacities are divided by 4, associativities
-// and line sizes kept, and cycle-denominated OS parameters chosen so the
+// (see DESIGN.md §5): L2 capacities are divided by 16 (4 MB -> 256 KB,
+// 2 MB -> 128 KB) and the 32 KB L1 by 4, associativities and line sizes
+// kept, and cycle-denominated OS parameters chosen so the
 // quantum : allocator-period : benchmark-length ratios match the paper's
 // (tens of context switches per allocator invocation, several allocator
 // invocations per run).

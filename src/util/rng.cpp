@@ -105,19 +105,23 @@ ZipfSampler::ZipfSampler(std::size_t n, double skew) {
   cdf_.back() = 1.0;  // guard against rounding
 }
 
-std::size_t ZipfSampler::sample(Rng& rng) const noexcept {
-  const double u = rng.next_double();
-  // Binary search the first cdf entry >= u.
-  std::size_t lo = 0, hi = cdf_.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+std::size_t ZipfSampler::sample(Rng& rng) const noexcept { return index_of(rng.next_double()); }
+
+std::size_t ZipfSampler::index_of(double u) const noexcept {
+  // Branch-free lower bound over cdf_[0, n-1): every halving step is a
+  // conditional move, so the search never mispredicts. The last entry is
+  // never compared, which makes n-1 the fallback, as in a binary search
+  // over [0, n-1].
+  const double* const first = cdf_.data();
+  const double* base = first;
+  std::size_t len = cdf_.size() - 1;
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    base = base[half] < u ? base + half : base;
+    len -= half;
   }
-  return lo;
+  // len is 1 here, or 0 when n == 1; base[0] is in range either way.
+  return static_cast<std::size_t>(base - first) + (static_cast<std::size_t>(*base < u) & len);
 }
 
 }  // namespace symbiosis::util

@@ -82,10 +82,16 @@ class ZipfSampler {
   /// @param skew  Zipf exponent s (0 = uniform; 1 ≈ classic Zipf)
   ZipfSampler(std::size_t n, double skew);
 
-  /// Draw one index in [0, n).
+  /// Draw one index in [0, n): index_of(rng.next_double()).
   [[nodiscard]] std::size_t sample(Rng& rng) const noexcept;
 
+  /// Inverse CDF: the first index whose cumulative probability is >= @p u,
+  /// or n-1 when none is.
+  [[nodiscard]] std::size_t index_of(double u) const noexcept;
+
   [[nodiscard]] std::size_t support() const noexcept { return cdf_.size(); }
+  /// Cumulative probabilities; non-decreasing, the last entry exactly 1.0.
+  [[nodiscard]] const std::vector<double>& cdf() const noexcept { return cdf_; }
 
  private:
   std::vector<double> cdf_;  // cumulative distribution, cdf_.back() == 1.0

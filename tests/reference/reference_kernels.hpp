@@ -23,22 +23,40 @@
 #include "sig/counting_bloom.hpp"
 #include "sig/filter_unit.hpp"
 #include "sig/hash.hpp"
+#include "util/rng.hpp"
 
 namespace symbiosis::testref {
 
-/// Naive set-associative cache with explicit per-line timestamps. Supports
-/// the three deterministic replacement policies — LRU, FIFO and SRRIP (the
-/// textbook aging loop, no early-outs); Random and TreePlru keep extra
-/// policy state the naive model intentionally omits.
+/// Naive set-associative cache with explicit per-line state. Models every
+/// replacement kind the optimised Cache dispatches on: LRU and FIFO
+/// (per-line timestamps), SRRIP (the textbook aging loop, no early-outs),
+/// Random (the same seeded next_below draw per victim) and tree-PLRU (a
+/// recursive walk over per-set decision bits). set_partition confines fills
+/// and victims to a CAT-style way range per requestor; lookups always scan
+/// the whole set.
 class ReferenceCache {
  public:
   ReferenceCache(cachesim::CacheGeometry geometry, cachesim::ReplacementKind replacement,
-                 std::size_t requestors)
+                 std::size_t requestors, std::uint64_t seed = 1)
       : geom_(geometry),
-        fifo_(replacement == cachesim::ReplacementKind::Fifo),
-        srrip_(replacement == cachesim::ReplacementKind::Srrip),
+        kind_(replacement),
         lines_(geometry.lines()),
-        per_requestor_(requestors) {}
+        plru_(geometry.lines(), false),
+        rng_(seed),
+        per_requestor_(requestors),
+        range_(requestors, Range{0, geometry.ways}) {}
+
+  /// Requestor r fills only within group group_of_requestor[r]'s ways; the
+  /// groups take consecutive way ranges in order.
+  void set_partition(const cachesim::CachePartition& partition,
+                     const std::vector<std::size_t>& group_of_requestor) {
+    for (std::size_t r = 0; r < group_of_requestor.size(); ++r) {
+      const std::size_t g = group_of_requestor[r];
+      std::size_t begin = 0;
+      for (std::size_t i = 0; i < g; ++i) begin += partition.ways_per_group[i];
+      range_[r] = Range{begin, begin + partition.ways_per_group[g]};
+    }
+  }
 
   cachesim::AccessResult access(cachesim::LineAddr line, bool is_write, std::size_t requestor) {
     cachesim::AccessResult result;
@@ -49,15 +67,19 @@ class ReferenceCache {
     ++per_requestor_[requestor].accesses;
 
     for (std::size_t w = 0; w < geom_.ways; ++w) {
-      Line& entry = lines_[set * geom_.ways + w];
+      Line& entry = at(set, w);
       if (entry.valid && entry.tag == tag) {
         result.hit = true;
         result.way = w;
         entry.dirty = entry.dirty || is_write;
-        if (srrip_) {
-          entry.rrpv = 0;  // SRRIP-HP: a hit promotes to near-immediate re-reference
-        } else if (!fifo_) {
-          entry.stamp = ++clock_;  // LRU refreshes on touch, FIFO does not
+        switch (kind_) {
+          case cachesim::ReplacementKind::Lru: entry.stamp = ++clock_; break;
+          case cachesim::ReplacementKind::Srrip: entry.rrpv = 0; break;  // near-immediate
+          case cachesim::ReplacementKind::TreePlru:
+            plru_touch(set, 0, 0, geom_.ways, w);
+            break;
+          case cachesim::ReplacementKind::Fifo:  // FIFO does not refresh on touch
+          case cachesim::ReplacementKind::Random: break;
         }
         ++total_.hits;
         ++per_requestor_[requestor].hits;
@@ -68,37 +90,17 @@ class ReferenceCache {
     ++total_.misses;
     ++per_requestor_[requestor].misses;
 
+    const Range range = range_[requestor];
     std::size_t way = geom_.ways;
-    for (std::size_t w = 0; w < geom_.ways; ++w) {
-      if (!lines_[set * geom_.ways + w].valid) {
+    for (std::size_t w = range.begin; w < range.end; ++w) {
+      if (!at(set, w).valid) {
         way = w;
         break;
       }
     }
     if (way == geom_.ways) {
-      if (srrip_) {
-        // SRRIP victim: lowest way whose RRPV is distant (kMax); when none
-        // qualifies, age the whole set by one and rescan until one does.
-        while (way == geom_.ways) {
-          for (std::size_t w = 0; w < geom_.ways; ++w) {
-            if (lines_[set * geom_.ways + w].rrpv == kRrpvMax) {
-              way = w;
-              break;
-            }
-          }
-          if (way == geom_.ways) {
-            for (std::size_t w = 0; w < geom_.ways; ++w) ++lines_[set * geom_.ways + w].rrpv;
-          }
-        }
-      } else {
-        // Victim: smallest stamp, lowest way on ties (matches the policies'
-        // strict < scan).
-        way = 0;
-        for (std::size_t w = 1; w < geom_.ways; ++w) {
-          if (lines_[set * geom_.ways + w].stamp < lines_[set * geom_.ways + way].stamp) way = w;
-        }
-      }
-      Line& victim = lines_[set * geom_.ways + way];
+      way = choose_victim(set, range);
+      Line& victim = at(set, way);
       result.evicted = true;
       result.victim_line = (victim.tag << geom_.set_bits()) | set;
       result.victim_dirty = victim.dirty;
@@ -110,15 +112,26 @@ class ReferenceCache {
       }
     }
 
-    Line& entry = lines_[set * geom_.ways + way];
+    Line& entry = at(set, way);
     entry.tag = tag;
     entry.valid = true;
     entry.dirty = is_write;
     entry.owner = requestor;
     entry.stamp = ++clock_;           // both LRU and FIFO stamp on fill
     entry.rrpv = kRrpvMax - 1;        // SRRIP-HP inserts at "long re-reference"
+    if (kind_ == cachesim::ReplacementKind::TreePlru) plru_touch(set, 0, 0, geom_.ways, way);
     result.way = way;
     return result;
+  }
+
+  [[nodiscard]] bool probe(cachesim::LineAddr line) const {
+    const std::size_t set = geom_.set_of(line);
+    const std::uint64_t tag = geom_.tag_of(line);
+    for (std::size_t w = 0; w < geom_.ways; ++w) {
+      const Line& entry = lines_[set * geom_.ways + w];
+      if (entry.valid && entry.tag == tag) return true;
+    }
+    return false;
   }
 
   /// Inclusion back-invalidation: drop @p line if present, reporting where
@@ -127,7 +140,7 @@ class ReferenceCache {
     const std::size_t set = geom_.set_of(line);
     const std::uint64_t tag = geom_.tag_of(line);
     for (std::size_t w = 0; w < geom_.ways; ++w) {
-      Line& entry = lines_[set * geom_.ways + w];
+      Line& entry = at(set, w);
       if (entry.valid && entry.tag == tag) {
         entry.valid = false;
         entry.dirty = false;
@@ -162,7 +175,7 @@ class ReferenceCache {
   }
 
  private:
-  static constexpr unsigned kRrpvMax = 3;  // 2-bit RRPV, matches SrripPolicy
+  static constexpr unsigned kRrpvMax = 3;  // 2-bit RRPV, as in Replacement
 
   struct Line {
     std::uint64_t tag = 0;
@@ -173,13 +186,73 @@ class ReferenceCache {
     std::size_t owner = 0;
   };
 
+  struct Range {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+
+  Line& at(std::size_t set, std::size_t way) { return lines_[set * geom_.ways + way]; }
+
+  /// Victim among the (all valid) ways of @p range.
+  std::size_t choose_victim(std::size_t set, Range range) {
+    switch (kind_) {
+      case cachesim::ReplacementKind::Lru:
+      case cachesim::ReplacementKind::Fifo: {
+        // Smallest stamp, lowest way on ties.
+        std::size_t way = range.begin;
+        for (std::size_t w = range.begin + 1; w < range.end; ++w) {
+          if (at(set, w).stamp < at(set, way).stamp) way = w;
+        }
+        return way;
+      }
+      case cachesim::ReplacementKind::Random:
+        return range.begin + static_cast<std::size_t>(rng_.next_below(range.end - range.begin));
+      case cachesim::ReplacementKind::Srrip:
+        // Lowest way whose RRPV is distant (kMax); when none qualifies, age
+        // the whole range by one and rescan until one does.
+        for (;;) {
+          for (std::size_t w = range.begin; w < range.end; ++w) {
+            if (at(set, w).rrpv == kRrpvMax) return w;
+          }
+          for (std::size_t w = range.begin; w < range.end; ++w) ++at(set, w).rrpv;
+        }
+      case cachesim::ReplacementKind::TreePlru: break;
+    }
+    return plru_victim(set, 0, 0, geom_.ways);
+  }
+
+  // Tree-PLRU over ways [lo, hi) of one set, nodes in heap order: a node's
+  // bit is true when the next victim comes from its RIGHT half.
+  void plru_touch(std::size_t set, std::size_t node, std::size_t lo, std::size_t hi,
+                  std::size_t way) {
+    if (hi - lo < 2) return;
+    const std::size_t mid = (lo + hi) / 2;
+    const bool left = way < mid;
+    plru_[set * geom_.ways + node] = left;  // point away from the touched half
+    if (left) {
+      plru_touch(set, 2 * node + 1, lo, mid, way);
+    } else {
+      plru_touch(set, 2 * node + 2, mid, hi, way);
+    }
+  }
+
+  [[nodiscard]] std::size_t plru_victim(std::size_t set, std::size_t node, std::size_t lo,
+                                        std::size_t hi) const {
+    if (hi - lo < 2) return lo;
+    const std::size_t mid = (lo + hi) / 2;
+    return plru_[set * geom_.ways + node] ? plru_victim(set, 2 * node + 2, mid, hi)
+                                          : plru_victim(set, 2 * node + 1, lo, mid);
+  }
+
   cachesim::CacheGeometry geom_;
-  bool fifo_;
-  bool srrip_;
+  cachesim::ReplacementKind kind_;
   std::vector<Line> lines_;
+  std::vector<bool> plru_;  ///< ways slots per set, ways - 1 of them used
+  util::Rng rng_;
   std::uint64_t clock_ = 0;
   cachesim::CacheStats total_;
   std::vector<cachesim::CacheStats> per_requestor_;
+  std::vector<Range> range_;
 };
 
 /// Naive counting Bloom filter: std::set dedup, recounted aggregates.

@@ -28,6 +28,13 @@ TEST(CacheGeometry, Validation) {
   EXPECT_THROW((CacheGeometry{1024, 3, 64}).validate(), std::invalid_argument);
 }
 
+TEST(Cache, MalformedGeometryThrowsBeforeUse) {
+  // sets() divides by ways and lines() by line_bytes: both must be rejected
+  // before the cache derives anything from the geometry.
+  EXPECT_THROW(Cache(CacheGeometry{1024, 0, 64}, ReplacementKind::Lru), std::invalid_argument);
+  EXPECT_THROW(Cache(CacheGeometry{1024, 4, 0}, ReplacementKind::Lru), std::invalid_argument);
+}
+
 TEST(Cache, MissThenHit) {
   Cache cache(tiny_geometry(), ReplacementKind::Lru);
   const auto first = cache.access(100, false, 0);

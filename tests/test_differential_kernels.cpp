@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cachesim/cache.hpp"
 #include "cachesim/hierarchy.hpp"
+#include "cachesim/tlb.hpp"
 #include "reference/reference_kernels.hpp"
 #include "sig/bitvector.hpp"
 #include "sig/counting_bloom.hpp"
@@ -99,6 +102,157 @@ TEST(DifferentialCache, LruWideGeometryMatchesReference) {
     ASSERT_EQ(got.victim_line, want.victim_line) << "access " << i;
   }
   expect_stats_eq(opt.stats(), ref.stats(), "total");
+}
+
+// ---------------------------------------------------------------------------
+// Every replacement kind, partitioned fills and invalidation holes.
+// ---------------------------------------------------------------------------
+
+/// Replays one random stream of accesses, invalidations and probes through
+/// the optimised Cache and the naive ReferenceCache. Invalidations punch
+/// holes that later fills must find before any victim is chosen.
+void run_replacement_differential(cachesim::ReplacementKind kind,
+                                  const cachesim::CacheGeometry& geom,
+                                  const cachesim::CachePartition& partition,
+                                  const std::vector<cachesim::LineAddr>& lines,
+                                  std::uint64_t seed) {
+  const std::size_t requestors = 3;
+  cachesim::Cache opt(geom, kind, requestors, seed);
+  testref::ReferenceCache ref(geom, kind, requestors, seed);
+  if (partition.enabled()) {
+    const std::vector<std::size_t> group_of{0, 1, 2};
+    opt.set_partition(partition, group_of);
+    ref.set_partition(partition, group_of);
+  }
+
+  const std::string label = cachesim::to_string(kind);
+  util::Rng rng(seed);
+  for (std::size_t i = 0; i < kAccessesPerKernel; ++i) {
+    const cachesim::LineAddr line = lines[rng.next_below(lines.size())];
+    const std::uint64_t op = rng.next_below(20);
+    if (op == 0) {
+      std::size_t got_set = 0, got_way = 0, want_set = 0, want_way = 0;
+      const bool got = opt.invalidate(line, got_set, got_way);
+      ASSERT_EQ(got, ref.invalidate(line, want_set, want_way)) << label << " invalidate " << i;
+      if (got) {
+        ASSERT_EQ(got_set, want_set) << label << " invalidate " << i;
+        ASSERT_EQ(got_way, want_way) << label << " invalidate " << i;
+      }
+      continue;
+    }
+    if (op == 1) {
+      ASSERT_EQ(opt.probe(line), ref.probe(line)) << label << " probe " << i;
+      continue;
+    }
+    const bool is_write = rng.next_bool(0.3);
+    const auto requestor = static_cast<std::size_t>(rng.next_below(requestors));
+    const cachesim::AccessResult got = opt.access(line, is_write, requestor);
+    const cachesim::AccessResult want = ref.access(line, is_write, requestor);
+    ASSERT_EQ(got.hit, want.hit) << label << " access " << i;
+    ASSERT_EQ(got.set, want.set) << label << " access " << i;
+    ASSERT_EQ(got.way, want.way) << label << " access " << i;
+    ASSERT_EQ(got.evicted, want.evicted) << label << " access " << i;
+    ASSERT_EQ(got.victim_line, want.victim_line) << label << " access " << i;
+    ASSERT_EQ(got.victim_dirty, want.victim_dirty) << label << " access " << i;
+  }
+
+  expect_stats_eq(opt.stats(), ref.stats(), "total");
+  for (std::size_t r = 0; r < requestors; ++r) {
+    expect_stats_eq(opt.stats_for(r), ref.stats_for(r), "per-requestor");
+    EXPECT_EQ(opt.occupancy(r), ref.occupancy(r)) << label;
+  }
+  EXPECT_EQ(opt.occupancy(), ref.occupancy(cachesim::Cache::kAnyRequestor)) << label;
+}
+
+constexpr cachesim::ReplacementKind kAllKinds[] = {
+    cachesim::ReplacementKind::Lru, cachesim::ReplacementKind::Fifo,
+    cachesim::ReplacementKind::Random, cachesim::ReplacementKind::TreePlru,
+    cachesim::ReplacementKind::Srrip};
+
+/// 16 sets x 8 ways over a 256-line space: constant eviction pressure.
+std::vector<cachesim::LineAddr> dense_lines() {
+  std::vector<cachesim::LineAddr> lines(256);
+  for (std::size_t i = 0; i < lines.size(); ++i) lines[i] = i;
+  return lines;
+}
+
+TEST(DifferentialCache, EveryReplacementKindMatchesReference) {
+  const cachesim::CacheGeometry geom{16 * 8 * 64, 8, 64};
+  for (const auto kind : kAllKinds) {
+    run_replacement_differential(kind, geom, {}, dense_lines(), 14);
+  }
+}
+
+TEST(DifferentialCache, PartitionedFillsMatchReference) {
+  // Requestor r fills only ways [0,3), [3,5) or [5,8); tree-PLRU cannot be
+  // partitioned, so it is the one kind left out.
+  const cachesim::CacheGeometry geom{16 * 8 * 64, 8, 64};
+  const cachesim::CachePartition partition{{3, 2, 3}};
+  for (const auto kind : kAllKinds) {
+    if (kind == cachesim::ReplacementKind::TreePlru) continue;
+    run_replacement_differential(kind, geom, partition, dense_lines(), 15);
+  }
+}
+
+TEST(DifferentialCache, OneSetCacheAtLineAllOnesMatchesReference) {
+  // With one set the tag is the whole line, so line ~0 carries the same tag
+  // the cache uses to mark invalid ways. It must still hit, fill, evict,
+  // invalidate and count like any other line.
+  const cachesim::CacheGeometry geom{4 * 64, 4, 64};
+  const cachesim::LineAddr top = ~cachesim::LineAddr{0};
+  const std::vector<cachesim::LineAddr> lines{top, top - 1, 0, 1, 2, 3, 4, 5};
+  for (const auto kind : kAllKinds) {
+    run_replacement_differential(kind, geom, {}, lines, 16);
+  }
+  const cachesim::CachePartition partition{{1, 2, 1}};
+  run_replacement_differential(cachesim::ReplacementKind::Lru, geom, partition, lines, 17);
+}
+
+// ---------------------------------------------------------------------------
+// Tlb (hinted lookup) vs ReferenceTlb.
+// ---------------------------------------------------------------------------
+
+TEST(DifferentialTlb, HintedLookupMatchesReference) {
+  cachesim::Tlb opt(64, 4096);
+  testref::ReferenceTlb ref(64, 4096);
+  util::Rng rng(18);
+  for (std::size_t i = 0; i < 120'000; ++i) {
+    if (i % 10'000 == 9'999) {
+      opt.flush();
+      ref.flush();
+    }
+    std::uint64_t page = 0;
+    switch (rng.next_below(4)) {
+      case 0: page = rng.next_below(48); break;                 // fits the TLB: hits
+      case 1: page = 64 * rng.next_below(12) + 7; break;        // share one hint slot
+      case 2: page = rng.next_below(1 << 12); break;            // misses and LRU evictions
+      default: page = (rng.next_below(4) << 40) | rng.next_below(96); break;  // high bits
+    }
+    const std::uint64_t addr = page * 4096 + rng.next_below(4096);
+    ASSERT_EQ(opt.access(addr), ref.access(addr)) << "access " << i;
+  }
+  EXPECT_EQ(opt.hits(), ref.hits());
+  EXPECT_EQ(opt.misses(), ref.misses());
+}
+
+TEST(DifferentialTlb, SentinelPageMatchesReference) {
+  // page_bytes 1 makes address ~0 the page number that also marks empty
+  // slots; pages 63 and 127 share its hint slot.
+  cachesim::Tlb opt(4, 1);
+  testref::ReferenceTlb ref(4, 1);
+  const std::uint64_t top = ~std::uint64_t{0};
+  const std::uint64_t addrs[] = {top, top - 1, 63, 127, 0, 1, 2};
+  util::Rng rng(19);
+  for (std::size_t i = 0; i < 20'000; ++i) {
+    if (rng.next_below(50) == 0) {
+      opt.flush();
+      ref.flush();
+    }
+    const std::uint64_t addr = addrs[rng.next_below(std::size(addrs))];
+    ASSERT_EQ(opt.access(addr), ref.access(addr)) << "access " << i;
+  }
+  EXPECT_EQ(opt.hits(), ref.hits());
+  EXPECT_EQ(opt.misses(), ref.misses());
 }
 
 // ---------------------------------------------------------------------------

@@ -12,23 +12,23 @@ namespace {
 
 TEST(Replacement, LruMatchesReferenceModel) {
   const std::size_t ways = 8;
-  auto policy = make_replacement(ReplacementKind::Lru, 1, ways);
+  Replacement policy(ReplacementKind::Lru, 1, ways);
   std::deque<std::size_t> stack;  // front = LRU
   for (std::size_t w = 0; w < ways; ++w) {
-    policy->on_fill(0, w);
+    policy.on_fill(0, w);
     stack.push_back(w);
   }
   util::Rng rng(1);
   for (int step = 0; step < 2000; ++step) {
     if (rng.next_bool(0.7)) {
       const std::size_t w = rng.next_below(ways);
-      policy->on_touch(0, w);
+      policy.on_touch(0, w);
       std::erase(stack, w);
       stack.push_back(w);
     } else {
-      const std::size_t victim = policy->victim(0);
+      const std::size_t victim = policy.victim_in(0, 0, ways);
       EXPECT_EQ(victim, stack.front());
-      policy->on_fill(0, victim);
+      policy.on_fill(0, victim);
       stack.pop_front();
       stack.push_back(victim);
     }
@@ -36,59 +36,59 @@ TEST(Replacement, LruMatchesReferenceModel) {
 }
 
 TEST(Replacement, FifoIgnoresTouches) {
-  auto policy = make_replacement(ReplacementKind::Fifo, 1, 4);
-  for (std::size_t w = 0; w < 4; ++w) policy->on_fill(0, w);
-  policy->on_touch(0, 0);  // must not refresh
-  EXPECT_EQ(policy->victim(0), 0u);
-  policy->on_fill(0, 0);
-  EXPECT_EQ(policy->victim(0), 1u);
+  Replacement policy(ReplacementKind::Fifo, 1, 4);
+  for (std::size_t w = 0; w < 4; ++w) policy.on_fill(0, w);
+  policy.on_touch(0, 0);  // must not refresh
+  EXPECT_EQ(policy.victim_in(0, 0, 4), 0u);
+  policy.on_fill(0, 0);
+  EXPECT_EQ(policy.victim_in(0, 0, 4), 1u);
 }
 
 TEST(Replacement, TreePlruNeverVictimizesJustTouched) {
   const std::size_t ways = 8;
-  auto policy = make_replacement(ReplacementKind::TreePlru, 2, ways);
+  Replacement policy(ReplacementKind::TreePlru, 2, ways);
   util::Rng rng(2);
-  for (std::size_t w = 0; w < ways; ++w) policy->on_fill(1, w);
+  for (std::size_t w = 0; w < ways; ++w) policy.on_fill(1, w);
   for (int step = 0; step < 500; ++step) {
     const std::size_t touched = rng.next_below(ways);
-    policy->on_touch(1, touched);
-    EXPECT_NE(policy->victim(1), touched);
+    policy.on_touch(1, touched);
+    EXPECT_NE(policy.victim_in(1, 0, ways), touched);
   }
 }
 
 TEST(Replacement, TreePlruRequiresPow2Ways) {
-  EXPECT_THROW(make_replacement(ReplacementKind::TreePlru, 1, 6), std::invalid_argument);
-  EXPECT_NO_THROW(make_replacement(ReplacementKind::TreePlru, 1, 16));
+  EXPECT_THROW(Replacement(ReplacementKind::TreePlru, 1, 6), std::invalid_argument);
+  EXPECT_NO_THROW(Replacement(ReplacementKind::TreePlru, 1, 16));
 }
 
 TEST(Replacement, SetsAreIndependent) {
-  auto policy = make_replacement(ReplacementKind::Lru, 2, 2);
-  policy->on_fill(0, 0);
-  policy->on_fill(0, 1);
-  policy->on_fill(1, 0);
-  policy->on_fill(1, 1);
-  policy->on_touch(0, 0);  // set 0: victim should now be way 1
-  EXPECT_EQ(policy->victim(0), 1u);
-  EXPECT_EQ(policy->victim(1), 0u);  // set 1 unaffected
+  Replacement policy(ReplacementKind::Lru, 2, 2);
+  policy.on_fill(0, 0);
+  policy.on_fill(0, 1);
+  policy.on_fill(1, 0);
+  policy.on_fill(1, 1);
+  policy.on_touch(0, 0);  // set 0: victim should now be way 1
+  EXPECT_EQ(policy.victim_in(0, 0, 2), 1u);
+  EXPECT_EQ(policy.victim_in(1, 0, 2), 0u);  // set 1 unaffected
 }
 
 TEST(Replacement, RandomIsBoundedAndSeeded) {
-  auto a = make_replacement(ReplacementKind::Random, 1, 4, 7);
-  auto b = make_replacement(ReplacementKind::Random, 1, 4, 7);
+  Replacement a(ReplacementKind::Random, 1, 4, 7);
+  Replacement b(ReplacementKind::Random, 1, 4, 7);
   for (int i = 0; i < 100; ++i) {
-    const auto va = a->victim(0);
+    const auto va = a.victim_in(0, 0, 4);
     EXPECT_LT(va, 4u);
-    EXPECT_EQ(va, b->victim(0));  // same seed, same stream
+    EXPECT_EQ(va, b.victim_in(0, 0, 4));  // same seed, same stream
   }
 }
 
 TEST(Replacement, ResetRestartsState) {
-  auto policy = make_replacement(ReplacementKind::Lru, 1, 4);
-  for (std::size_t w = 0; w < 4; ++w) policy->on_fill(0, w);
-  policy->on_touch(0, 0);
-  policy->reset();
+  Replacement policy(ReplacementKind::Lru, 1, 4);
+  for (std::size_t w = 0; w < 4; ++w) policy.on_fill(0, w);
+  policy.on_touch(0, 0);
+  policy.reset();
   // After reset everything is equally old; victim is the lowest way.
-  EXPECT_EQ(policy->victim(0), 0u);
+  EXPECT_EQ(policy.victim_in(0, 0, 4), 0u);
 }
 
 TEST(Replacement, NameRoundTrip) {
@@ -102,74 +102,39 @@ TEST(Replacement, NameRoundTrip) {
 TEST(Replacement, SrripInsertsDistantAndPromotesOnHit) {
   // 4 ways, SRRIP-HP: fills land at RRPV kMax-1, so with no hits the victim
   // rotation is way 0, 1, 2, 3 (aging makes all distant, lowest way wins).
-  auto policy = make_replacement(ReplacementKind::Srrip, 1, 4);
-  for (std::size_t w = 0; w < 4; ++w) policy->on_fill(0, w);
-  EXPECT_EQ(policy->victim(0), 0u);
-  policy->on_fill(0, 0);
-  EXPECT_EQ(policy->victim(0), 1u);
-  policy->on_fill(0, 1);
+  Replacement policy(ReplacementKind::Srrip, 1, 4);
+  for (std::size_t w = 0; w < 4; ++w) policy.on_fill(0, w);
+  EXPECT_EQ(policy.victim_in(0, 0, 4), 0u);
+  policy.on_fill(0, 0);
+  EXPECT_EQ(policy.victim_in(0, 0, 4), 1u);
+  policy.on_fill(0, 1);
   // A hit resets way 2 to RRPV 0: it now outlives ways 3 (still aged to max
   // from the earlier scans) and the fresh fills.
-  policy->on_touch(0, 2);
-  EXPECT_EQ(policy->victim(0), 3u);
-  policy->on_fill(0, 3);
-  EXPECT_NE(policy->victim(0), 2u) << "the recently hit way must not be the next victim";
+  policy.on_touch(0, 2);
+  EXPECT_EQ(policy.victim_in(0, 0, 4), 3u);
+  policy.on_fill(0, 3);
+  EXPECT_NE(policy.victim_in(0, 0, 4), 2u) << "the recently hit way must not be the next victim";
 }
 
 TEST(Replacement, SrripVictimAgesUntilOneIsDistant) {
-  auto policy = make_replacement(ReplacementKind::Srrip, 1, 2);
-  policy->on_fill(0, 0);
-  policy->on_fill(0, 1);
-  policy->on_touch(0, 0);  // way 0 -> RRPV 0, way 1 stays at 2
+  Replacement policy(ReplacementKind::Srrip, 1, 2);
+  policy.on_fill(0, 0);
+  policy.on_fill(0, 1);
+  policy.on_touch(0, 0);  // way 0 -> RRPV 0, way 1 stays at 2
   // Victim scan must age both until way 1 reaches max first.
-  EXPECT_EQ(policy->victim(0), 1u);
-  policy->on_fill(0, 1);
+  EXPECT_EQ(policy.victim_in(0, 0, 2), 1u);
+  policy.on_fill(0, 1);
   // Way 0 was aged by one during that scan but remains closer than way 1.
-  EXPECT_EQ(policy->victim(0), 1u);
+  EXPECT_EQ(policy.victim_in(0, 0, 2), 1u);
 }
 
 TEST(Replacement, SrripResetRestartsDistant) {
-  auto policy = make_replacement(ReplacementKind::Srrip, 1, 4);
-  for (std::size_t w = 0; w < 4; ++w) policy->on_fill(0, w);
-  policy->on_touch(0, 2);
-  policy->reset();
+  Replacement policy(ReplacementKind::Srrip, 1, 4);
+  for (std::size_t w = 0; w < 4; ++w) policy.on_fill(0, w);
+  policy.on_touch(0, 2);
+  policy.reset();
   // All RRPVs back at max: the victim is the lowest way again.
-  EXPECT_EQ(policy->victim(0), 0u);
-}
-
-TEST(Replacement, VictimInFullRangeIsBitIdenticalToVictim) {
-  // The victim_in(set, 0, ways) contract: bit-identical to victim(set) for
-  // EVERY policy, including the RNG draw sequence of Random — this is what
-  // lets unpartitioned caches route through the range path with zero drift.
-  // Twin instances (same seed) absorb the state mutation victim()/victim_in()
-  // may perform (Random advances its RNG, SRRIP ages).
-  const std::size_t sets = 4, ways = 8;
-  for (const auto kind : {ReplacementKind::Lru, ReplacementKind::Fifo, ReplacementKind::Random,
-                          ReplacementKind::TreePlru, ReplacementKind::Srrip}) {
-    auto a = make_replacement(kind, sets, ways, 99);
-    auto b = make_replacement(kind, sets, ways, 99);
-    util::Rng rng(17);
-    for (std::size_t set = 0; set < sets; ++set) {
-      for (std::size_t w = 0; w < ways; ++w) {
-        a->on_fill(set, w);
-        b->on_fill(set, w);
-      }
-    }
-    for (int step = 0; step < 3000; ++step) {
-      const std::size_t set = rng.next_below(sets);
-      if (rng.next_bool(0.5)) {
-        const std::size_t w = rng.next_below(ways);
-        a->on_touch(set, w);
-        b->on_touch(set, w);
-      } else {
-        const std::size_t va = a->victim(set);
-        const std::size_t vb = b->victim_in(set, 0, ways);
-        ASSERT_EQ(va, vb) << to_string(kind) << " step " << step;
-        a->on_fill(set, va);
-        b->on_fill(set, vb);
-      }
-    }
-  }
+  EXPECT_EQ(policy.victim_in(0, 0, 4), 0u);
 }
 
 TEST(Replacement, VictimInRespectsSubRanges) {
@@ -179,16 +144,16 @@ TEST(Replacement, VictimInRespectsSubRanges) {
   for (const auto kind :
        {ReplacementKind::Lru, ReplacementKind::Fifo, ReplacementKind::Random,
         ReplacementKind::Srrip}) {
-    auto policy = make_replacement(kind, 1, ways, 5);
-    for (std::size_t w = 0; w < ways; ++w) policy->on_fill(0, w);
+    Replacement policy(kind, 1, ways, 5);
+    for (std::size_t w = 0; w < ways; ++w) policy.on_fill(0, w);
     util::Rng rng(23);
     for (int step = 0; step < 1000; ++step) {
       const std::size_t begin = rng.next_below(ways);
       const std::size_t end = begin + 1 + rng.next_below(ways - begin);
-      const std::size_t v = policy->victim_in(0, begin, end);
+      const std::size_t v = policy.victim_in(0, begin, end);
       ASSERT_GE(v, begin) << to_string(kind);
       ASSERT_LT(v, end) << to_string(kind);
-      policy->on_fill(0, v);
+      policy.on_fill(0, v);
     }
   }
 }

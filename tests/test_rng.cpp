@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -128,6 +129,63 @@ TEST(ZipfSampler, SkewConcentratesOnHead) {
   // Zipf(1.0, 1000): top-10 mass = H(10)/H(1000) ≈ 0.39.
   EXPECT_GT(head, n * 0.3);
   EXPECT_LT(head, n * 0.5);
+}
+
+/// The binary search ZipfSampler used before its branch-free lower bound,
+/// kept as the reference: the first cdf entry >= u within [0, n-1].
+std::size_t binary_search_index(const std::vector<double>& cdf, double u) {
+  std::size_t lo = 0, hi = cdf.size() - 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (cdf[mid] < u) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+TEST(ZipfSampler, IndexOfMatchesBinarySearchExactly) {
+  // Every CDF entry and its floating-point neighbours are the inputs where
+  // an off-by-one in the search would show; 1M random draws per sampler
+  // cover the rest. Together they pin sample()'s RNG-to-index mapping.
+  // Skew 8 makes the tail terms vanish next to the sum, so its CDF ends in
+  // a run of equal entries, where only the first may be returned.
+  const std::vector<double> uniform = [] {
+    Rng rng(37);
+    std::vector<double> u(1'000'000);
+    for (double& x : u) x = rng.next_double();
+    return u;
+  }();
+  for (const std::size_t n : {1, 2, 3, 1000, 4096, 4915}) {
+    for (const double skew : {0.0, 0.7, 0.99, 1.1, 8.0}) {
+      const ZipfSampler z(n, skew);
+      const std::vector<double>& cdf = z.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      std::vector<double> probes{0.0, std::nextafter(1.0, 0.0)};
+      for (const double c : cdf) {
+        probes.push_back(c);
+        probes.push_back(std::nextafter(c, 0.0));
+        probes.push_back(std::nextafter(c, 2.0));
+      }
+      for (const double u : probes) {
+        ASSERT_EQ(z.index_of(u), binary_search_index(cdf, u))
+            << "n=" << n << " skew=" << skew << " u=" << u;
+      }
+      for (const double u : uniform) {
+        ASSERT_EQ(z.index_of(u), binary_search_index(cdf, u))
+            << "n=" << n << " skew=" << skew << " u=" << u;
+      }
+    }
+  }
+}
+
+TEST(ZipfSampler, SampleIsIndexOfNextDouble) {
+  const ZipfSampler z(4096, 0.99);
+  Rng a(41);
+  Rng b(41);
+  for (int i = 0; i < 10000; ++i) ASSERT_EQ(z.sample(a), z.index_of(b.next_double()));
 }
 
 TEST(ZipfSampler, SamplesInSupport) {
