@@ -26,17 +26,19 @@ int main(int argc, char** argv) {
 
   std::printf("=== Figure 10: max/avg improvement per benchmark (native) ===\n\n");
   const core::PipelineConfig config = bench::default_pipeline(seed);
+  const auto& pool = workload::spec2006_pool();
   obs::PhaseTimings timings;
-  core::SweepResult sweep;
+  core::SweepGridResult sweep;
   {
-    obs::PhaseTimings::Scoped phase(timings, "run_sweep");
-    sweep = core::run_sweep(config, workload::spec2006_pool(), 4,
-                            static_cast<std::size_t>(per_benchmark));
+    obs::PhaseTimings::Scoped phase(timings, "run_sweep_grid");
+    sweep = core::run_sweep_grid(config, pool, 4, static_cast<std::size_t>(per_benchmark),
+                                 {config.allocator});
   }
-  const auto& summary = sweep.summary;
+  const auto summary = core::summarize_improvements(pool, sweep.outcomes);
   bench::print_improvements("weighted interference graph, chosen-vs-worst:", summary);
   if (!report_path.empty()) {
-    core::write_report_file(core::build_sweep_report(config, sweep, timings), report_path);
+    core::write_report_file(core::build_sweep_report(config, sweep, summary, timings),
+                            report_path);
     std::printf("wrote %s\n", report_path.c_str());
   }
   std::printf(

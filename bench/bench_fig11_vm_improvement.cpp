@@ -20,8 +20,11 @@ int main(int argc, char** argv) {
   std::printf("=== Figure 11: max/avg improvement per benchmark (inside Xen-like VMs) ===\n\n");
   core::PipelineConfig config = bench::default_pipeline(seed);
   config.virtualized = true;
-  const auto summary = core::sweep_pool(config, workload::spec2006_pool(), 4,
-                                        static_cast<std::size_t>(per_benchmark));
+  const auto& pool = workload::spec2006_pool();
+  const auto sweep = core::run_sweep_grid(config, pool, 4,
+                                          static_cast<std::size_t>(per_benchmark),
+                                          {config.allocator});
+  const auto summary = core::summarize_improvements(pool, sweep.outcomes);
   bench::print_improvements("weighted interference graph, chosen-vs-worst, VM phase 2:", summary);
   std::printf(
       "Expected shape (paper): the same ordering as Figure 10 but diluted by\n"

@@ -25,9 +25,11 @@ int main(int argc, char** argv) {
   std::printf("=== Figure 12: max/avg improvement per PARSEC program (4 threads each) ===\n\n");
   core::PipelineConfig config = bench::default_pipeline(seed);
   config.scale.length_scale = 0.6;  // 16 schedulable threads per mix
-  const auto summary =
-      core::sweep_pool(config, workload::parsec_pool(), 4,
-                       static_cast<std::size_t>(per_benchmark), /*multithreaded=*/true);
+  const auto& pool = workload::parsec_pool();
+  const auto sweep =
+      core::run_sweep_grid(config, pool, 4, static_cast<std::size_t>(per_benchmark),
+                           {config.allocator}, 1, /*multithreaded=*/true);
+  const auto summary = core::summarize_improvements(pool, sweep.outcomes);
   bench::print_improvements("two-phase multithreaded allocation, chosen-vs-worst-of-sample:",
                             summary);
   std::printf(

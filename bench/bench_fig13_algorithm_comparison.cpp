@@ -19,17 +19,6 @@
 
 using namespace symbiosis;
 
-namespace {
-
-/// Mean improvement over the worst mapping, across the mix's benchmarks.
-double mean_improvement(const core::MixOutcome& outcome) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < outcome.mix.size(); ++i) sum += outcome.improvement_vs_worst(i);
-  return sum / static_cast<double>(outcome.mix.size());
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::ArgParser args("bench_fig13", "Figure 13: allocation algorithm comparison");
   auto& seed = args.add_u64("seed", "RNG seed", 42);
@@ -57,14 +46,8 @@ int main(int argc, char** argv) {
   }
 
   // Measure all mappings of each mix once.
-  std::vector<core::MixOutcome> measured(mixes.size());
   const core::PipelineConfig base = bench::default_pipeline(seed);
-  for (std::size_t i = 0; i < mixes.size(); ++i) {
-    measured[i].mix = mixes[i];
-    for (const auto& alloc : sched::enumerate_balanced_allocations(mixes[i].size(), 2)) {
-      measured[i].mappings.push_back(core::measure_mapping(base, mixes[i], alloc));
-    }
-  }
+  std::vector<core::MixOutcome> measured = bench::measure_every_mapping(base, mixes);
 
   for (const auto& algorithm : algorithms) {
     std::vector<std::string> row = {algorithm};
@@ -72,14 +55,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < mixes.size(); ++i) {
       core::PipelineConfig config = base;
       config.allocator = algorithm;
-      core::SymbioticScheduler pipeline(config);
-      const sched::Allocation chosen = pipeline.choose_allocation(mixes[i]);
-      core::MixOutcome outcome = measured[i];
-      outcome.chosen = 0;
-      for (std::size_t k = 0; k < outcome.mappings.size(); ++k) {
-        if (outcome.mappings[k].allocation == chosen) outcome.chosen = k;
-      }
-      const double improvement = mean_improvement(outcome);
+      const double improvement = bench::charge_vote(config, measured[i]);
       total += improvement;
       row.push_back(util::TextTable::pct(improvement));
     }
@@ -95,7 +71,7 @@ int main(int argc, char** argv) {
       double best = 0.0;
       for (std::size_t k = 0; k < outcome.mappings.size(); ++k) {
         outcome.chosen = k;
-        best = std::max(best, mean_improvement(outcome));
+        best = std::max(best, bench::mean_improvement(outcome));
       }
       total += best;
       row.push_back(util::TextTable::pct(best));
@@ -114,15 +90,8 @@ int main(int argc, char** argv) {
   for (const std::uint64_t period : {5'000'000ull, 10'000'000ull, 20'000'000ull, 40'000'000ull}) {
     core::PipelineConfig config = base;
     config.allocator_period_cycles = period;
-    core::SymbioticScheduler pipeline(config);
-    const sched::Allocation chosen = pipeline.choose_allocation(mixes[0]);
-    core::MixOutcome outcome = measured[0];
-    outcome.chosen = 0;
-    for (std::size_t k = 0; k < outcome.mappings.size(); ++k) {
-      if (outcome.mappings[k].allocation == chosen) outcome.chosen = k;
-    }
     ablation.add_row({util::TextTable::fmt(static_cast<double>(period) / 1e6, 0),
-                      util::TextTable::pct(mean_improvement(outcome))});
+                      util::TextTable::pct(bench::charge_vote(config, measured[0]))});
   }
   ablation.print();
 

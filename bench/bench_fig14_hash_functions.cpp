@@ -15,12 +15,6 @@ using namespace symbiosis;
 
 namespace {
 
-double mean_improvement(const core::MixOutcome& outcome) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < outcome.mix.size(); ++i) sum += outcome.improvement_vs_worst(i);
-  return sum / static_cast<double>(outcome.mix.size());
-}
-
 /// Average CF fill ratio observed at the end of a short emulation — the
 /// §5.3 saturation diagnostic.
 double observe_saturation(const core::PipelineConfig& config,
@@ -68,13 +62,7 @@ int main(int argc, char** argv) {
 
   // Measure all mappings of each mix once (hash choice only affects the
   // phase-1 decision, not the measured runtimes).
-  std::vector<core::MixOutcome> measured(mixes.size());
-  for (std::size_t i = 0; i < mixes.size(); ++i) {
-    measured[i].mix = mixes[i];
-    for (const auto& alloc : sched::enumerate_balanced_allocations(mixes[i].size(), 2)) {
-      measured[i].mappings.push_back(core::measure_mapping(base, mixes[i], alloc));
-    }
-  }
+  const std::vector<core::MixOutcome> measured = bench::measure_every_mapping(base, mixes);
 
   util::TextTable table;
   {
@@ -93,14 +81,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {variant.label};
     double total = 0.0;
     for (std::size_t i = 0; i < mixes.size(); ++i) {
-      core::SymbioticScheduler pipeline(config);
-      const sched::Allocation chosen = pipeline.choose_allocation(mixes[i]);
-      core::MixOutcome outcome = measured[i];
-      outcome.chosen = 0;
-      for (std::size_t k = 0; k < outcome.mappings.size(); ++k) {
-        if (outcome.mappings[k].allocation == chosen) outcome.chosen = k;
-      }
-      const double improvement = mean_improvement(outcome);
+      const double improvement = bench::charge_vote(config, measured[i]);
       total += improvement;
       row.push_back(util::TextTable::pct(improvement));
     }

@@ -39,14 +39,13 @@ int main(int argc, char** argv) {
       manycore ? machine::manycore64_config() : machine::clustered32_config();
   config.seed = seed;
   if (partition) {
-    const cachesim::HierarchyTopology topo = config.hierarchy.topology();
     config.hierarchy.l3_way_partition.ways_per_group.assign(
-        topo.clusters(), config.hierarchy.l3->ways / topo.clusters());
+        config.hierarchy.clusters(), config.hierarchy.l3->ways / config.hierarchy.clusters());
   }
 
   machine::Machine m(config);
-  const cachesim::HierarchyTopology topo = m.hierarchy().topology();
-  std::printf("topology: %s\n", topo.describe().c_str());
+  const cachesim::HierarchyConfig& shape = m.hierarchy().config();
+  std::printf("topology: %s\n", shape.describe().c_str());
 
   // One copy of every pool program, round-robin across the machine; the OS
   // scheduler (with migration) spreads them over the clusters.
@@ -85,9 +84,9 @@ int main(int argc, char** argv) {
   // aggregate core-filter weight (the hardware's footprint estimate).
   util::TextTable clusters;
   clusters.set_header({"cluster", "l2 miss rate", "l2 occupancy", "sig weight"});
-  for (std::size_t cl = 0; cl < topo.clusters(); ++cl) {
+  for (std::size_t cl = 0; cl < shape.clusters(); ++cl) {
     const cachesim::Cache& l2 = h.cluster_l2(cl);
-    const sig::FilterUnit* fu = h.filter_for_core(cl * topo.cores_per_cluster());
+    const sig::FilterUnit* fu = h.filter_for_core(cl * shape.cores_per_cluster());
     std::size_t weight = 0;
     if (fu != nullptr) {
       for (std::size_t c = 0; c < fu->num_cores(); ++c) weight += fu->core_filter_weight(c);
@@ -101,9 +100,9 @@ int main(int argc, char** argv) {
   // Cross-cluster symbiosis: a core's RBV scored against a core behind a
   // DIFFERENT filter is popcount(RBV) + weight — disjoint caches cannot
   // contend, so moving heavy co-runners apart maximizes this.
-  if (h.filter_for_core(0) != nullptr && topo.clusters() > 1) {
+  if (h.filter_for_core(0) != nullptr && shape.clusters() > 1) {
     const sig::FilterUnit& a = *h.filter_for_core(0);
-    const sig::FilterUnit& b = *h.filter_for_core(topo.cores_per_cluster());
+    const sig::FilterUnit& b = *h.filter_for_core(shape.cores_per_cluster());
     const std::size_t score =
         sig::disjoint_symbiosis(a.compute_rbv(0), b.core_filter_weight(0));
     std::printf("cross-cluster symbiosis (core 0 vs first core of cluster 1): %zu\n", score);

@@ -1,13 +1,13 @@
 // trace_tools — trace + run-report tooling.
 //
 // Subcommands:
-//   roundtrip  record a workload's reference stream, replay it twice through
-//              identical machines, and verify the replays are cycle-identical
-//              (the default when no subcommand is given);
+//   roundtrip  record a workload's reference stream to a .symt trace, replay
+//              it twice through identical machines, and verify the replays
+//              are cycle-identical (the default when no subcommand is given);
 //   convert    produce a .symt v2 trace from synthetic generators (--mix /
-//              --benchmark), from the text format (--text), or from a legacy
-//              v1 trace (--v1); --verify proves generator conversions replay
-//              bit-identically to direct generation;
+//              --benchmark) or from the text format (--text); --verify
+//              proves generator conversions replay bit-identically to direct
+//              generation;
 //   replay     replay a .symt through a fresh hierarchy, print the summary,
 //              optionally emit a kind="trace_replay" run report (--report);
 //   inspect    summarize a run report JSON (kind, config, outcome counts) or
@@ -39,7 +39,6 @@
 #include "util/threadpool.hpp"
 #include "workload/replayer.hpp"
 #include "workload/symt.hpp"
-#include "workload/trace.hpp"
 #include "workload/trace_source.hpp"
 #include "workload/trace_text.hpp"
 
@@ -63,35 +62,31 @@ int cmd_roundtrip(int argc, char** argv) {
   auto& seed = args.add_u64("seed", "RNG seed", 42);
   if (!args.parse(argc, argv)) return 1;
 
-  workload::ScaleConfig scale;
-
-  // 1. Record: pull steps straight from the generator into the trace file.
+  // 1. Record: pull steps straight from the generator into a .symt trace.
   {
     auto w = workload::make_spec_workload(benchmark, machine::address_space_base(0),
-                                          util::Rng{seed}, scale);
-    workload::TraceWriter writer(out);
-    for (std::uint64_t i = 0; i < refs; ++i) writer.append(w->next());
-    std::printf("recorded %llu refs of %s to %s\n",
-                static_cast<unsigned long long>(writer.count()), benchmark.c_str(),
-                out.c_str());
+                                          util::Rng{seed}, workload::ScaleConfig{});
+    workload::SymtWriter writer(1);
+    const std::uint64_t recorded = workload::record_stream(writer, 0, *w, refs);
+    writer.write_file(out);
+    std::printf("recorded %llu refs of %s to %s\n", static_cast<unsigned long long>(recorded),
+                benchmark.c_str(), out.c_str());
   }
 
   // 2. Run the replayed trace twice through identical machines; both must
   //    produce identical timing and signatures.
-  auto run = [&](std::unique_ptr<workload::TaskStream> stream) {
+  const workload::SymtSource source(
+      std::make_shared<const workload::SymtTrace>(workload::SymtTrace::open(out)), benchmark);
+  auto run = [&] {
     machine::Machine m(machine::core2duo_config());
-    const auto id = m.add_task(std::move(stream), 0);
+    const auto id = m.add_process(source, 0).front();
     m.run_to_all_complete(0);
     const auto& t = m.task(id);
     return std::tuple{t.first_completion_user_cycles, t.counters().l2_misses,
                       t.signature().latest_occupancy()};
   };
-
-  const auto steps = workload::read_trace(out);
-  auto [cycles_a, misses_a, occ_a] =
-      run(std::make_unique<workload::TraceStream>(benchmark + ".replay1", steps));
-  auto [cycles_b, misses_b, occ_b] =
-      run(std::make_unique<workload::TraceStream>(benchmark + ".replay2", steps));
+  auto [cycles_a, misses_a, occ_a] = run();
+  auto [cycles_b, misses_b, occ_b] = run();
 
   util::TextTable table({"run", "user cycles", "L2 misses", "latest RBV weight"});
   table.add_row({"replay #1", std::to_string(cycles_a), std::to_string(misses_a),
@@ -150,7 +145,6 @@ int cmd_convert(int argc, char** argv) {
   auto& mix = args.add_string("mix", "comma-separated pool programs, one thread each", "");
   auto& benchmark = args.add_string("benchmark", "single pool program (1-thread trace)", "");
   auto& text = args.add_string("text", "text-format trace file to convert", "");
-  auto& v1 = args.add_string("v1", "legacy v1 trace file to convert", "");
   auto& out = args.add_string("out", "output .symt path", "");
   auto& refs = args.add_u64("refs", "references per thread (generator sources)", 100'000);
   auto& seed = args.add_u64("seed", "RNG seed (generator sources)", 42);
@@ -163,9 +157,9 @@ int cmd_convert(int argc, char** argv) {
     return 1;
   }
   const int sources = (!mix.empty() ? 1 : 0) + (!benchmark.empty() ? 1 : 0) +
-                      (!text.empty() ? 1 : 0) + (!v1.empty() ? 1 : 0);
+                      (!text.empty() ? 1 : 0);
   if (sources != 1) {
-    std::fprintf(stderr, "convert: exactly one of --mix/--benchmark/--text/--v1 required\n");
+    std::fprintf(stderr, "convert: exactly one of --mix/--benchmark/--text required\n");
     return 1;
   }
 
@@ -174,15 +168,8 @@ int cmd_convert(int argc, char** argv) {
   if (!mix.empty() || !benchmark.empty()) {
     names = mix.empty() ? std::vector<std::string>{benchmark} : split_csv(mix);
     image = workload::symt_from_benchmarks(names, refs, seed);
-  } else if (!text.empty()) {
-    image = workload::symt_from_text(workload::parse_text_trace_file(text));
   } else {
-    // Legacy v1 single-stream trace: one thread, gaps preserved.
-    workload::SymtWriter writer(1);
-    for (const workload::Step& step : workload::read_trace(v1)) {
-      writer.append_mem(0, step.addr, step.is_write, step.compute_instr);
-    }
-    image = writer.finish();
+    image = workload::symt_from_text(workload::parse_text_trace_file(text));
   }
 
   {
@@ -348,7 +335,8 @@ int cmd_diff(int argc, char** argv) {
   return 1;
 }
 
-/// True when @p path starts with the SYMT magic (either trace version).
+/// True when @p path starts with the SYMT magic (any version: SymtTrace::open
+/// then rejects every version but v2 with a diagnostic).
 bool sniff_symt(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   char magic[4] = {};

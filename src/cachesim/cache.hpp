@@ -10,9 +10,26 @@
 
 #include "cachesim/addr.hpp"
 #include "cachesim/replacement.hpp"
-#include "cachesim/topology.hpp"
 
 namespace symbiosis::cachesim {
+
+/// CAT-style contiguous way partition of one shared cache: group g may only
+/// FILL (and therefore evict) within its own way range; lookups still search
+/// every way, so partition changes never lose cached data. An empty
+/// ways_per_group means "unpartitioned" (every group fills anywhere).
+struct CachePartition {
+  std::vector<std::size_t> ways_per_group;
+
+  [[nodiscard]] bool enabled() const noexcept { return !ways_per_group.empty(); }
+  [[nodiscard]] std::size_t groups() const noexcept { return ways_per_group.size(); }
+  [[nodiscard]] std::size_t total_ways() const noexcept {
+    std::size_t sum = 0;
+    for (const std::size_t w : ways_per_group) sum += w;
+    return sum;
+  }
+
+  [[nodiscard]] bool operator==(const CachePartition&) const = default;
+};
 
 /// Outcome of one cache access.
 struct AccessResult {
@@ -63,7 +80,7 @@ class Cache {
   /// can retire the same (set, way). Outputs are untouched on a miss.
   bool invalidate(LineAddr line, std::size_t& set_out, std::size_t& way_out) noexcept;
 
-  /// Apply a CAT-style way partition (cachesim/topology.hpp): requestor r
+  /// Apply a CAT-style way partition (CachePartition above): requestor r
   /// belongs to group @p group_of_requestor[r] and may FILL only within its
   /// group's contiguous way range; lookups still search the whole set, so
   /// no cached line is lost. Validated with SYM_CHECK ("cachesim.partition"):

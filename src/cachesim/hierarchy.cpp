@@ -1,5 +1,6 @@
 #include "cachesim/hierarchy.hpp"
 
+#include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -9,6 +10,63 @@
 
 namespace symbiosis::cachesim {
 
+namespace {
+
+/// One shared level's partition against that level's associativity.
+void validate_partition(const CachePartition& partition, std::size_t groups, std::size_t ways,
+                        const char* level) {
+  if (!partition.enabled()) return;
+  SYM_CHECK_EQ(partition.groups(), groups, "cachesim.partition")
+      << level << " partition must name exactly one way count per sharer group";
+  for (const std::size_t w : partition.ways_per_group) {
+    SYM_CHECK(w >= 1, "cachesim.partition")
+        << level << " partition group with zero ways could never fill a line";
+  }
+  SYM_CHECK_LE(partition.total_ways(), ways, "cachesim.partition")
+      << level << " partition claims more ways than the cache has";
+}
+
+}  // namespace
+
+void HierarchyConfig::validate() const {
+  SYM_CHECK(num_cores > 0, "cachesim.topology") << "topology needs at least one core";
+  SYM_CHECK(l2_clusters > 0, "cachesim.topology") << "topology needs at least one L2 cluster";
+  SYM_CHECK(shared_l2 || l2_clusters == 1, "cachesim.topology")
+      << "private-L2 topologies fix clusters = cores; leave l2_clusters at 1";
+  SYM_CHECK_LE(clusters(), num_cores, "cachesim.topology")
+      << "more L2 clusters than cores (an L2 with no sharers is dead hardware)";
+  SYM_CHECK_EQ(clusters() * cores_per_cluster(), num_cores, "cachesim.topology")
+      << "cluster count must divide the core count evenly (" << num_cores << " cores / "
+      << clusters() << " clusters)";
+  SYM_CHECK_EQ(l1.line_bytes, l2.line_bytes, "cachesim.topology")
+      << "L1 and L2 must share a line size";
+  if (l3) {
+    SYM_CHECK_EQ(l3->line_bytes, l2.line_bytes, "cachesim.topology")
+        << "L3 must share the L1/L2 line size";
+  }
+  SYM_CHECK(l3.has_value() || !l3_way_partition.enabled(), "cachesim.topology")
+      << "an L3 way partition needs an L3";
+  validate_partition(l2_way_partition, cores_per_cluster(), l2.ways, "L2");
+  if (l3) validate_partition(l3_way_partition, clusters(), l3->ways, "L3");
+}
+
+std::string HierarchyConfig::describe() const {
+  std::ostringstream out;
+  out << num_cores << " cores / ";
+  if (!shared_l2) {
+    out << "private " << (l2.size_bytes / 1024) << "KiB L2s";
+  } else {
+    out << clusters() << "x" << (l2.size_bytes / 1024) << "KiB "
+        << (clusters() == 1 ? "shared L2" : "cluster L2");
+  }
+  if (l2_way_partition.enabled()) out << " (way-partitioned)";
+  if (l3) {
+    out << " / " << (l3->size_bytes / (1024 * 1024)) << "MiB shared L3";
+    if (l3_way_partition.enabled()) out << " (way-partitioned)";
+  }
+  return out.str();
+}
+
 Hierarchy::Hierarchy(HierarchyConfig config) : config_(std::move(config)) {
   if (config_.num_cores == 0) throw std::invalid_argument("Hierarchy: num_cores must be > 0");
   config_.l1.validate();
@@ -17,10 +75,9 @@ Hierarchy::Hierarchy(HierarchyConfig config) : config_(std::move(config)) {
   if (config_.l1.line_bytes != config_.l2.line_bytes) {
     throw std::invalid_argument("Hierarchy: L1 and L2 must share a line size");
   }
-  topo_ = config_.topology();
-  topo_.validate();  // SYM_CHECK: divisibility, partitions, L3 line size
-  clusters_ = topo_.clusters();
-  cores_per_cluster_ = topo_.cores_per_cluster();
+  config_.validate();  // SYM_CHECK: divisibility, partitions, L3 line size
+  clusters_ = config_.clusters();
+  cores_per_cluster_ = config_.cores_per_cluster();
 
   l1_.reserve(config_.num_cores);
   tlb_.reserve(config_.num_cores);
@@ -36,21 +93,21 @@ Hierarchy::Hierarchy(HierarchyConfig config) : config_(std::move(config)) {
     l2_.push_back(std::make_unique<Cache>(config_.l2, config_.l2_replacement,
                                           config_.num_cores, config_.seed + 977 * i));
   }
-  if (topo_.l2_partition.enabled()) {
+  if (config_.l2_way_partition.enabled()) {
     // Requestors are GLOBAL core ids; partition groups are cluster-local
     // cores, and cluster cl's core c sits at local slot c % cores_per_cluster.
     std::vector<std::size_t> group_of(config_.num_cores);
     for (std::size_t c = 0; c < config_.num_cores; ++c) group_of[c] = c % cores_per_cluster_;
-    for (auto& l2 : l2_) l2->set_partition(topo_.l2_partition, group_of);
+    for (auto& l2 : l2_) l2->set_partition(config_.l2_way_partition, group_of);
   }
 
-  if (topo_.l3) {
-    l3_ = std::make_unique<Cache>(*topo_.l3, config_.l3_replacement, clusters_,
+  if (config_.l3) {
+    l3_ = std::make_unique<Cache>(*config_.l3, config_.l3_replacement, clusters_,
                                   config_.seed + 50021);
-    if (topo_.l3_partition.enabled()) {
+    if (config_.l3_way_partition.enabled()) {
       std::vector<std::size_t> group_of(clusters_);
       for (std::size_t i = 0; i < clusters_; ++i) group_of[i] = i;
-      l3_->set_partition(topo_.l3_partition, group_of);
+      l3_->set_partition(config_.l3_way_partition, group_of);
     }
   }
 

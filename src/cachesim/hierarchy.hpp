@@ -3,24 +3,32 @@
 // This is the substrate standing in for Simics + g-cache: it decides
 // hit/miss at each level, charges a simple additive latency, enforces
 // inclusion downward, and drives the per-cluster sig::FilterUnits on every
-// L2 fill and replacement. The graph (cachesim/topology.hpp) is per-core
-// L1s → per-cluster shared L2s → optional single shared L3; the paper's two
-// testbeds are its degenerate instances and stay bit-identical to the
-// pre-graph two-level implementation:
-//   * shared L2  — Intel Core 2 Duo (4MB 16-way shared), the main machine;
-//   * private L2 — P4 Xeon SMP (2MB 8-way per processor), Fig 3(a).
+// L2 fill and replacement. A HierarchyConfig describes the graph: per-core
+// L1s feed per-cluster shared L2s, which optionally feed a single shared L3
+// (per-core L1 → cluster L2 → L3 → memory). The paper's two testbeds are
+// its DEGENERATE instances and stay bit-identical to the pre-graph
+// two-level implementation (tests/test_differential_hierarchy.cpp pins this
+// down against the naive reference models):
+//   * shared L2  — Intel Core 2 Duo (4MB 16-way shared), the main machine:
+//     1 cluster, no L3;
+//   * private L2 — P4 Xeon SMP (2MB 8-way per processor), Fig 3(a):
+//     num_cores clusters of 1 core, no L3.
+// The generalized graph is what 32–64-core scheduling studies need:
+// allocation algorithms then PLACE processes across clusters (which shared
+// cache they contend in) and can additionally CONSTRAIN them with a
+// CAT-style way partition per shared level (LFOC-style clustering).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "cachesim/addr.hpp"
 #include "cachesim/cache.hpp"
 #include "cachesim/tlb.hpp"
-#include "cachesim/topology.hpp"
 #include "sig/filter_unit.hpp"
 
 namespace symbiosis::cachesim {
@@ -49,10 +57,14 @@ struct SignatureConfig {
   unsigned sample_shift = 0;  ///< 2 = the paper's 25% set sampling
 };
 
+/// The shape and parameters of one machine's cache graph. Hierarchy
+/// validates it at construction.
 struct HierarchyConfig {
   std::size_t num_cores = 2;
   CacheGeometry l1{8 * 1024, 8, 64};
   CacheGeometry l2{256 * 1024, 16, 64};
+  /// Private L2s (false) are the same graph as shared ones with num_cores
+  /// clusters of one core; the shape accessors below normalize.
   bool shared_l2 = true;
   ReplacementKind l1_replacement = ReplacementKind::Lru;
   ReplacementKind l2_replacement = ReplacementKind::Lru;
@@ -64,9 +76,10 @@ struct HierarchyConfig {
   // --- graph extensions (defaults keep the legacy two-level shape) ---
 
   /// Shared-L2 cluster count: cores split into equal groups, each sharing
-  /// one L2 (1 = the legacy single shared L2). Ignored when !shared_l2.
+  /// one L2 (1 = the legacy single shared L2). Must stay 1 when !shared_l2.
   std::size_t l2_clusters = 1;
-  /// Optional shared inclusive L3 below every cluster L2.
+  /// Optional shared last-level cache below every cluster L2 (inclusive:
+  /// an L3 eviction back-invalidates the line from all L2s and L1s).
   std::optional<CacheGeometry> l3;
   ReplacementKind l3_replacement = ReplacementKind::Srrip;
   /// CAT-style way partitions of the shared levels (empty = unpartitioned):
@@ -74,22 +87,44 @@ struct HierarchyConfig {
   CachePartition l2_way_partition;
   CachePartition l3_way_partition;
 
-  /// The cache graph this config describes (see topology.hpp).
-  [[nodiscard]] HierarchyTopology topology() const {
-    HierarchyTopology t;
-    t.num_cores = num_cores;
-    t.l2_shared = shared_l2;
-    t.l2_clusters = l2_clusters;
-    t.l1 = l1;
-    t.l2 = l2;
-    t.l3 = l3;
-    t.l1_replacement = l1_replacement;
-    t.l2_replacement = l2_replacement;
-    t.l3_replacement = l3_replacement;
-    t.l2_partition = l2_way_partition;
-    t.l3_partition = l3_way_partition;
-    return t;
+  // --- normalized shape ---
+
+  /// Number of distinct L2 caches (clusters of the sharing graph).
+  [[nodiscard]] std::size_t clusters() const noexcept {
+    return shared_l2 ? l2_clusters : num_cores;
   }
+  [[nodiscard]] std::size_t cores_per_cluster() const noexcept {
+    const std::size_t n = clusters();
+    return n ? num_cores / n : 0;
+  }
+  /// Cluster that owns @p core's L2.
+  [[nodiscard]] std::size_t cluster_of(std::size_t core) const noexcept {
+    return core / cores_per_cluster();
+  }
+  /// @p core's slot within its cluster (signature hardware is per cluster
+  /// and indexes cores locally).
+  [[nodiscard]] std::size_t local_core(std::size_t core) const noexcept {
+    return core % cores_per_cluster();
+  }
+
+  /// True when this shape is expressible by the pre-graph two-level
+  /// implementation: one shared L2 (or all-private L2s), no L3, no way
+  /// partitions. Degenerate shapes keep run-report schema v1 and are
+  /// proven bit-identical to the legacy path.
+  [[nodiscard]] bool degenerate() const noexcept {
+    return !l3.has_value() && (!shared_l2 || l2_clusters == 1) && !l2_way_partition.enabled() &&
+           !l3_way_partition.enabled();
+  }
+
+  /// Check every structural invariant via SYM_CHECK (category
+  /// "cachesim.topology" / "cachesim.partition"): cluster count divides the
+  /// core count, line sizes agree across levels, partitions fit the
+  /// associativity. Honors the ambient CheckMode (tests use
+  /// ScopedCheckMode(Throw) to observe CheckError).
+  void validate() const;
+
+  /// "32 cores / 4x512KiB L2 / 2MiB L3" style summary for logs and reports.
+  [[nodiscard]] std::string describe() const;
 };
 
 /// Result of one memory access through the hierarchy.
@@ -168,7 +203,6 @@ class Hierarchy {
   void flush_tlb(std::size_t core);
 
   [[nodiscard]] const HierarchyConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const HierarchyTopology& topology() const noexcept { return topo_; }
   [[nodiscard]] std::size_t num_cores() const noexcept { return config_.num_cores; }
 
   // --- graph shape ---
@@ -254,7 +288,6 @@ class Hierarchy {
                           std::size_t core);
 
   HierarchyConfig config_;
-  HierarchyTopology topo_{};
   std::size_t clusters_ = 1;
   std::size_t cores_per_cluster_ = 1;
   std::vector<std::unique_ptr<Cache>> l1_;

@@ -58,7 +58,7 @@ class Replacement {
 
   /// Choose the victim within ways [@p begin, @p end) of @p set (all of
   /// them valid) — the whole set when unpartitioned, the requestor's way
-  /// range under a CAT-style partition (cachesim/topology.hpp). May mutate
+  /// range under a CAT-style partition (cachesim/cache.hpp). May mutate
   /// state: Random advances its RNG, SRRIP ages the range.
   [[nodiscard]] std::size_t victim_in(std::size_t set, std::size_t begin,
                                       std::size_t end) noexcept;

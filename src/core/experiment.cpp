@@ -174,36 +174,6 @@ std::vector<BenchmarkImprovement> summarize_improvements(
   return summary;
 }
 
-SweepResult run_sweep(const PipelineConfig& config, const std::vector<std::string>& pool,
-                      std::size_t mix_size, std::size_t per_benchmark, bool multithreaded,
-                      util::ThreadPool* pool_threads) {
-  SweepResult result;
-  result.mixes = sample_mixes(pool, mix_size, per_benchmark, config.seed);
-  SYMBIOSIS_LOG_INFO("run_sweep: %zu mixes of %zu from a pool of %zu", result.mixes.size(),
-                     mix_size, pool.size());
-  result.outcomes.resize(result.mixes.size());
-
-  // Each experiment builds its own Machine (and therefore its own RNG
-  // streams, derived from config.seed) and writes only outcomes[i], so the
-  // result is independent of worker interleaving AND of the shard cut — the
-  // determinism suite pins this down for 1/2/8-thread pools vs serial.
-  auto run_one = [&](std::size_t i) {
-    result.outcomes[i] = multithreaded ? run_mix_experiment_mt(config, result.mixes[i])
-                                       : run_mix_experiment(config, result.mixes[i]);
-  };
-  if (pool_threads) {
-    // Shard the mix list so each pool task amortises queue overhead across
-    // several experiments while every worker still gets ~4 shards to steal.
-    const std::size_t grain = std::max<std::size_t>(
-        1, result.mixes.size() / (pool_threads->size() * 4));
-    pool_threads->parallel_for_sharded(0, result.mixes.size(), run_one, grain);
-  } else {
-    for (std::size_t i = 0; i < result.mixes.size(); ++i) run_one(i);
-  }
-  result.summary = summarize_improvements(pool, result.outcomes);
-  return result;
-}
-
 SweepGridResult run_sweep_grid(const PipelineConfig& config, const std::vector<std::string>& pool,
                                std::size_t mix_size, std::size_t per_benchmark,
                                const std::vector<std::string>& algorithms,
@@ -252,14 +222,6 @@ SweepGridResult run_sweep_grid(const PipelineConfig& config, const std::vector<s
     for (std::size_t i = 0; i < result.cells.size(); ++i) run_one(i);
   }
   return result;
-}
-
-std::vector<BenchmarkImprovement> sweep_pool(const PipelineConfig& config,
-                                             const std::vector<std::string>& pool,
-                                             std::size_t mix_size, std::size_t per_benchmark,
-                                             bool multithreaded,
-                                             util::ThreadPool* pool_threads) {
-  return run_sweep(config, pool, mix_size, per_benchmark, multithreaded, pool_threads).summary;
 }
 
 }  // namespace symbiosis::core

@@ -77,24 +77,6 @@ struct BenchmarkImprovement {
 [[nodiscard]] std::vector<BenchmarkImprovement> summarize_improvements(
     const std::vector<std::string>& pool, const std::vector<MixOutcome>& outcomes);
 
-/// Everything one sweep produced: the sampled mixes, the raw per-mix
-/// outcomes (in mix order, independent of execution interleaving), and the
-/// per-benchmark summary. Report export and the determinism suite need the
-/// raw outcomes; sweep_pool() keeps returning just the summary.
-struct SweepResult {
-  std::vector<std::vector<std::string>> mixes;
-  std::vector<MixOutcome> outcomes;
-  std::vector<BenchmarkImprovement> summary;
-};
-
-/// Full-fidelity sweep driver: sample mixes, run experiments (in parallel
-/// when @p pool_threads is non-null), summarize. Outcomes are stored at the
-/// index of their mix, so the result is identical for any worker count.
-[[nodiscard]] SweepResult run_sweep(const PipelineConfig& config,
-                                    const std::vector<std::string>& pool, std::size_t mix_size,
-                                    std::size_t per_benchmark, bool multithreaded = false,
-                                    util::ThreadPool* pool_threads = nullptr);
-
 /// One (mix, allocator, seed-replicate) cell of a sweep grid.
 struct SweepCell {
   std::size_t mix_index = 0;   ///< into SweepGridResult::mixes
@@ -121,7 +103,9 @@ struct SweepGridResult {
 /// .split(cell), the sanctioned per-shard pattern), so the result is
 /// BIT-IDENTICAL for any worker count — the determinism suite pins this at
 /// 1/2/8 workers. Replicate 0 keeps config.seed itself, so a grid over
-/// {config.allocator} with one replicate reproduces run_sweep exactly.
+/// {config.allocator} with one replicate is the plain Figs 10–12 sweep:
+/// outcomes[i] is mixes[i]'s experiment, and summarize_improvements folds
+/// it into the per-benchmark bars.
 [[nodiscard]] SweepGridResult run_sweep_grid(const PipelineConfig& config,
                                              const std::vector<std::string>& pool,
                                              std::size_t mix_size, std::size_t per_benchmark,
@@ -129,11 +113,5 @@ struct SweepGridResult {
                                              std::size_t seed_replicates = 1,
                                              bool multithreaded = false,
                                              util::ThreadPool* pool_threads = nullptr);
-
-/// Convenience driver for Figs 10–12: run_sweep, keep only the summary.
-[[nodiscard]] std::vector<BenchmarkImprovement> sweep_pool(
-    const PipelineConfig& config, const std::vector<std::string>& pool, std::size_t mix_size,
-    std::size_t per_benchmark, bool multithreaded = false,
-    util::ThreadPool* pool_threads = nullptr);
 
 }  // namespace symbiosis::core

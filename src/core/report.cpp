@@ -29,7 +29,7 @@ obs::Json report_envelope(std::string kind, const PipelineConfig& config) {
   report.set("schema", obs::Json(kReportSchema));
   // Degenerate two-level machines keep the v1 stamp (and the v1 document,
   // byte for byte); only cluster/L3/partition topologies move to v2.
-  const bool degenerate = config.machine.hierarchy.topology().degenerate();
+  const bool degenerate = config.machine.hierarchy.degenerate();
   report.set("schema_version",
              obs::Json(degenerate ? kLegacyReportSchemaVersion : kReportSchemaVersion));
   report.set("kind", obs::Json(std::move(kind)));
@@ -56,22 +56,21 @@ obs::Json pipeline_config_to_json(const PipelineConfig& config) {
   machine.set("shared_l2", obs::Json(h.shared_l2));
   // Graph-shape fields exist only on non-degenerate topologies so the v1
   // (degenerate) machine object — and the golden fixture — never changes.
-  const cachesim::HierarchyTopology topo = h.topology();
-  if (!topo.degenerate()) {
-    machine.set("l2_clusters", obs::Json(static_cast<std::uint64_t>(topo.clusters())));
-    machine.set("topology", obs::Json(topo.describe()));
-    if (topo.l3) {
-      machine.set("l3_bytes", obs::Json(static_cast<std::uint64_t>(topo.l3->size_bytes)));
-      machine.set("l3_ways", obs::Json(static_cast<std::uint64_t>(topo.l3->ways)));
+  if (!h.degenerate()) {
+    machine.set("l2_clusters", obs::Json(static_cast<std::uint64_t>(h.clusters())));
+    machine.set("topology", obs::Json(h.describe()));
+    if (h.l3) {
+      machine.set("l3_bytes", obs::Json(static_cast<std::uint64_t>(h.l3->size_bytes)));
+      machine.set("l3_ways", obs::Json(static_cast<std::uint64_t>(h.l3->ways)));
       machine.set("l3_replacement", obs::Json(cachesim::to_string(h.l3_replacement)));
     }
-    if (topo.l2_partition.enabled()) {
-      machine.set("l2_way_partition", u64_array({topo.l2_partition.ways_per_group.begin(),
-                                                 topo.l2_partition.ways_per_group.end()}));
+    if (h.l2_way_partition.enabled()) {
+      machine.set("l2_way_partition", u64_array({h.l2_way_partition.ways_per_group.begin(),
+                                                 h.l2_way_partition.ways_per_group.end()}));
     }
-    if (topo.l3_partition.enabled()) {
-      machine.set("l3_way_partition", u64_array({topo.l3_partition.ways_per_group.begin(),
-                                                 topo.l3_partition.ways_per_group.end()}));
+    if (h.l3_way_partition.enabled()) {
+      machine.set("l3_way_partition", u64_array({h.l3_way_partition.ways_per_group.begin(),
+                                                 h.l3_way_partition.ways_per_group.end()}));
     }
   }
   machine.set("quantum_cycles", obs::Json(config.machine.quantum_cycles));
@@ -193,20 +192,24 @@ obs::Json build_mix_report(const PipelineConfig& config, const MixOutcome& outco
   return report;
 }
 
-obs::Json build_sweep_report(const PipelineConfig& config, const SweepResult& sweep,
+obs::Json build_sweep_report(const PipelineConfig& config, const SweepGridResult& grid,
+                             const std::vector<BenchmarkImprovement>& summary,
                              const obs::PhaseTimings& timings) {
+  if (grid.outcomes.size() != grid.mixes.size()) {
+    throw std::invalid_argument("build_sweep_report: the grid must hold one cell per mix");
+  }
   obs::Json report = report_envelope("sweep", config);
 
   obs::Json mixes = obs::Json::array();
-  for (const auto& mix : sweep.mixes) mixes.push_back(string_array(mix));
+  for (const auto& mix : grid.mixes) mixes.push_back(string_array(mix));
   report.set("mixes", std::move(mixes));
 
   obs::Json outcomes = obs::Json::array();
-  for (const auto& outcome : sweep.outcomes) outcomes.push_back(mix_outcome_to_json(outcome));
+  for (const auto& outcome : grid.outcomes) outcomes.push_back(mix_outcome_to_json(outcome));
   report.set("outcomes", std::move(outcomes));
 
-  obs::Json summary = obs::Json::array();
-  for (const auto& agg : sweep.summary) {
+  obs::Json summary_json = obs::Json::array();
+  for (const auto& agg : summary) {
     obs::Json entry = obs::Json::object();
     entry.set("name", obs::Json(agg.name));
     entry.set("mixes", obs::Json(static_cast<std::int64_t>(agg.mixes)));
@@ -214,9 +217,9 @@ obs::Json build_sweep_report(const PipelineConfig& config, const SweepResult& sw
     entry.set("avg_improvement", obs::Json(agg.avg_improvement()));
     entry.set("max_oracle", obs::Json(agg.max_oracle));
     entry.set("avg_oracle", obs::Json(agg.avg_oracle()));
-    summary.push_back(std::move(entry));
+    summary_json.push_back(std::move(entry));
   }
-  report.set("summary", std::move(summary));
+  report.set("summary", std::move(summary_json));
 
   close_envelope(report, timings);
   return report;
@@ -254,7 +257,7 @@ obs::Json build_trace_replay_report(const cachesim::HierarchyConfig& machine,
                                     std::size_t workers, const obs::PhaseTimings& timings) {
   obs::Json report = obs::Json::object();
   report.set("schema", obs::Json(kReportSchema));
-  const bool degenerate = machine.topology().degenerate();
+  const bool degenerate = machine.degenerate();
   report.set("schema_version",
              obs::Json(degenerate ? kLegacyReportSchemaVersion : kReportSchemaVersion));
   report.set("kind", obs::Json("trace_replay"));
@@ -266,7 +269,7 @@ obs::Json build_trace_replay_report(const cachesim::HierarchyConfig& machine,
   machine_json.set("line_bytes", obs::Json(static_cast<std::uint64_t>(machine.l1.line_bytes)));
   machine_json.set("shared_l2", obs::Json(machine.shared_l2));
   if (!degenerate) {
-    machine_json.set("topology", obs::Json(machine.topology().describe()));
+    machine_json.set("topology", obs::Json(machine.describe()));
   }
   obs::Json config = obs::Json::object();
   config.set("seed", obs::Json(machine.seed));

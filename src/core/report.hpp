@@ -29,11 +29,11 @@ namespace symbiosis::core {
 
 /// Schema identifier + version stamped into (and checked out of) reports.
 /// Version policy: reports from DEGENERATE topologies (one shared L2 or
-/// all-private L2s, no L3, no way partitions — topology.hpp) are stamped
-/// v1 and stay byte-identical to the pre-graph implementation (the golden
-/// fixture pins this). Non-degenerate topologies stamp v2, which adds the
-/// cluster/L3/partition machine fields and per-mapping "levels" stats.
-/// validate_report accepts both.
+/// all-private L2s, no L3, no way partitions — HierarchyConfig::degenerate())
+/// are stamped v1 and stay byte-identical to the pre-graph implementation
+/// (the golden fixture pins this). Non-degenerate topologies stamp v2, which
+/// adds the cluster/L3/partition machine fields and per-mapping "levels"
+/// stats. validate_report accepts both.
 inline constexpr std::string_view kReportSchema = "symbiosis.run_report";
 inline constexpr std::uint64_t kReportSchemaVersion = 2;
 inline constexpr std::uint64_t kLegacyReportSchemaVersion = 1;
@@ -59,8 +59,12 @@ inline constexpr std::uint64_t kLegacyReportSchemaVersion = 1;
                                          const obs::PhaseTimings& timings = {});
 
 /// Report for a pool sweep (kind = "sweep"): all mixes, all outcomes, the
-/// per-benchmark summary.
-[[nodiscard]] obs::Json build_sweep_report(const PipelineConfig& config, const SweepResult& sweep,
+/// per-benchmark @p summary. @p grid must hold one cell per mix (a grid over
+/// {config.allocator} with one replicate); throws std::invalid_argument
+/// otherwise.
+[[nodiscard]] obs::Json build_sweep_report(const PipelineConfig& config,
+                                           const SweepGridResult& grid,
+                                           const std::vector<BenchmarkImprovement>& summary,
                                            const obs::PhaseTimings& timings = {});
 
 /// Report for a live run vs the OS-default baseline (kind = "online").

@@ -103,7 +103,7 @@ namespace {
 /// machines skip this so their v1 report stays byte-identical to the
 /// pre-graph implementation.
 void collect_level_stats(const machine::Machine& m, MappingRun& run) {
-  if (m.config().hierarchy.topology().degenerate()) return;
+  if (m.config().hierarchy.degenerate()) return;
   const cachesim::Hierarchy& h = m.hierarchy();
   run.levels.push_back({"l1", h.level_stats("l1")});
   run.levels.push_back({"l2", h.level_stats("l2")});

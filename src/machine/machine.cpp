@@ -13,7 +13,7 @@ Machine::Machine(const MachineConfig& config)
     : config_(config),
       hierarchy_(config.hierarchy),
       scheduler_(config.hierarchy.num_cores, config.seed ^ 0x5c4ed41e5ull,
-                 config.migration_prob, config.hierarchy.topology().cores_per_cluster()),
+                 config.migration_prob, config.hierarchy.cores_per_cluster()),
       clock_(config.hierarchy.num_cores, 0),
       current_(config.hierarchy.num_cores, kNoTask),
       quantum_left_(config.hierarchy.num_cores, 0),
@@ -295,13 +295,6 @@ void Machine::run_for(std::uint64_t cycles) {
     if (!advance_one()) break;
   }
   publish_metrics();
-}
-
-std::uint64_t Machine::run_batch(std::uint64_t batches) {
-  std::uint64_t executed = 0;
-  while (executed < batches && advance_one()) ++executed;
-  publish_metrics();
-  return executed;
 }
 
 }  // namespace symbiosis::machine

@@ -79,15 +79,6 @@ class Machine {
   /// Run for (at least) @p cycles of simulated time.
   void run_for(std::uint64_t cycles);
 
-  /// Advance the machine by up to @p batches scheduler batches (each batch
-  /// is up to config.batch_steps accesses on the lowest-clock busy core) and
-  /// publish metric deltas once at the end — the batched-replay entry point
-  /// for drivers that interleave simulation with their own bookkeeping.
-  /// Returns the number of batches actually executed (fewer when the
-  /// machine drains). Driving the machine with run_batch() is bit-identical
-  /// to run_for()/run_to_all_complete() over the same span.
-  std::uint64_t run_batch(std::uint64_t batches);
-
   // --- inspection ---
 
   [[nodiscard]] const MachineConfig& config() const noexcept { return config_; }

@@ -26,11 +26,11 @@
 //   Signal:      varint event_id
 //   Wait:        varint event_id, varint partner_thread
 //
-// Version 1 ("SYMT", version 1) is the legacy fixed-width single-stream
-// format of workload/trace.hpp; readers of either version reject the other
-// with a diagnostic, never undefined behaviour. Every decode is bounds-
-// checked: truncated headers, overrunning thread tables, mid-record EOF and
-// varint overflow all throw std::runtime_error naming the problem.
+// Version 1 ("SYMT", version 1) was a retired fixed-width single-stream
+// format; the reader rejects it, like any version but 2, with a diagnostic,
+// never undefined behaviour. Every decode is bounds-checked: truncated
+// headers, overrunning thread tables, mid-record EOF and varint overflow all
+// throw std::runtime_error naming the problem.
 #pragma once
 
 #include <cstddef>

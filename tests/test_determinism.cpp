@@ -12,18 +12,15 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "machine/machine.hpp"
 #include "util/determinism.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
-#include "workload/benchmark_model.hpp"
 
 namespace symbiosis::core {
 namespace {
@@ -46,20 +43,11 @@ PipelineConfig tiny_pipeline() {
 
 const std::vector<std::string> kTinyPool = {"mcf", "libquantum", "povray", "gobmk"};
 
-TEST(Determinism, SweepIsIdenticalForAnyWorkerCount) {
-  const PipelineConfig config = tiny_pipeline();
-  const SweepResult serial = run_sweep(config, kTinyPool, 2, 1);
-  ASSERT_FALSE(serial.outcomes.empty());
-
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    util::ThreadPool pool(workers);
-    const SweepResult threaded = run_sweep(config, kTinyPool, 2, 1, false, &pool);
-    ASSERT_EQ(threaded.mixes, serial.mixes) << workers << " workers";
-    // Bit-identical MixOutcomes: every mapping's user/wall cycles, the
-    // phase-1 vote table, and the chosen index — not just the summary.
-    EXPECT_EQ(threaded.outcomes, serial.outcomes) << workers << " workers";
-    EXPECT_EQ(threaded.summary, serial.summary) << workers << " workers";
-  }
+/// The Figs 10–12 sweep shape: every pool program in at least one mix, one
+/// cell per mix under config.allocator at the configured seed.
+SweepGridResult plain_sweep(const PipelineConfig& config, const std::vector<std::string>& pool,
+                            std::size_t mix_size, util::ThreadPool* threads = nullptr) {
+  return run_sweep_grid(config, pool, mix_size, 1, {config.allocator}, 1, false, threads);
 }
 
 /// Scaled-down clustered machine: 8 cores in 4 clusters of 2, each cluster
@@ -91,7 +79,7 @@ TEST(Determinism, ClusteredSweepIsIdenticalForAnyWorkerCount) {
   const std::vector<std::string> pool = {"perlbench", "bzip2", "gcc",   "mcf",
                                          "gobmk",     "hmmer", "sjeng", "libquantum"};
   const PipelineConfig config = tiny_clustered_pipeline();
-  const SweepResult serial = run_sweep(config, pool, 8, 1);
+  const SweepGridResult serial = plain_sweep(config, pool, 8);
   ASSERT_FALSE(serial.outcomes.empty());
   for (const auto& outcome : serial.outcomes) {
     for (const auto& run : outcome.mappings) {
@@ -102,26 +90,29 @@ TEST(Determinism, ClusteredSweepIsIdenticalForAnyWorkerCount) {
 
   for (const std::size_t workers : {1u, 2u, 8u}) {
     util::ThreadPool pool_of(workers);
-    const SweepResult threaded = run_sweep(config, pool, 8, 1, false, &pool_of);
+    const SweepGridResult threaded = plain_sweep(config, pool, 8, &pool_of);
     ASSERT_EQ(threaded.mixes, serial.mixes) << workers << " workers";
     EXPECT_EQ(threaded.outcomes, serial.outcomes) << workers << " workers";
-    EXPECT_EQ(threaded.summary, serial.summary) << workers << " workers";
+    EXPECT_EQ(summarize_improvements(pool, threaded.outcomes),
+              summarize_improvements(pool, serial.outcomes))
+        << workers << " workers";
   }
 }
 
 TEST(Determinism, RepeatedSerialRunsAreIdentical) {
   const PipelineConfig config = tiny_pipeline();
-  const SweepResult a = run_sweep(config, kTinyPool, 2, 1);
-  const SweepResult b = run_sweep(config, kTinyPool, 2, 1);
+  const SweepGridResult a = plain_sweep(config, kTinyPool, 2);
+  const SweepGridResult b = plain_sweep(config, kTinyPool, 2);
   EXPECT_EQ(a.outcomes, b.outcomes);
-  EXPECT_EQ(a.summary, b.summary);
+  EXPECT_EQ(summarize_improvements(kTinyPool, a.outcomes),
+            summarize_improvements(kTinyPool, b.outcomes));
 }
 
 TEST(Determinism, SeedSelectsTheMixSample) {
   PipelineConfig config = tiny_pipeline();
-  const SweepResult a = run_sweep(config, kTinyPool, 2, 1);
+  const SweepGridResult a = plain_sweep(config, kTinyPool, 2);
   config.seed += 1;
-  const SweepResult b = run_sweep(config, kTinyPool, 2, 1);
+  const SweepGridResult b = plain_sweep(config, kTinyPool, 2);
   // Different seed, same pool: the sample may legitimately coincide for a
   // pool this small, but outcomes must still be self-consistent.
   ASSERT_EQ(a.mixes.size(), b.mixes.size());
@@ -155,22 +146,6 @@ TEST(Determinism, GridSweepIsIdenticalForAnyWorkerCount) {
   }
 }
 
-TEST(Determinism, GridReplicateZeroReproducesRunSweep) {
-  // A grid over just {config.allocator} with one replicate is run_sweep by
-  // another name: replicate 0 keeps config.seed, so the outcomes must be
-  // bit-identical to the plain sweep over the same pool.
-  const PipelineConfig config = tiny_pipeline();
-  const SweepResult plain = run_sweep(config, kTinyPool, 2, 1);
-  const SweepGridResult grid = run_sweep_grid(config, kTinyPool, 2, 1, {config.allocator}, 1);
-  ASSERT_EQ(grid.mixes, plain.mixes);
-  ASSERT_EQ(grid.outcomes.size(), plain.outcomes.size());
-  EXPECT_EQ(grid.outcomes, plain.outcomes);
-  for (const auto& cell : grid.cells) {
-    EXPECT_EQ(cell.replicate, 0u);
-    EXPECT_EQ(cell.seed, config.seed) << "replicate 0 keeps the configured seed";
-  }
-}
-
 TEST(Determinism, GridReplicatesDeriveDistinctSeeds) {
   const PipelineConfig config = tiny_pipeline();
   const SweepGridResult grid = run_sweep_grid(config, kTinyPool, 2, 1, {"weighted-graph"}, 3);
@@ -194,103 +169,6 @@ TEST(Determinism, GridRejectsDegenerateArguments) {
   const PipelineConfig config = tiny_pipeline();
   EXPECT_THROW(run_sweep_grid(config, kTinyPool, 2, 1, {}), std::invalid_argument);
   EXPECT_THROW(run_sweep_grid(config, kTinyPool, 2, 1, {"default"}, 0), std::invalid_argument);
-}
-
-// --- batched machine replay ----------------------------------------------
-
-machine::MachineConfig tiny_machine() {
-  machine::MachineConfig m;
-  m.hierarchy.num_cores = 2;
-  m.hierarchy.l1 = {1024, 2, 64};
-  m.hierarchy.l2 = {16 * 1024, 4, 64};
-  m.quantum_cycles = 50'000;
-  return m;
-}
-
-std::unique_ptr<workload::Workload> tiny_task(const std::string& name, std::size_t pid) {
-  workload::BenchmarkSpec spec;
-  spec.name = name;
-  workload::PhaseSpec phase;
-  phase.pattern.kind = workload::PatternKind::Zipf;
-  phase.pattern.region_bytes = 8 * 1024;
-  phase.compute_gap = 5.0;
-  phase.refs = 20'000;
-  spec.phases = {phase};
-  spec.total_refs = 20'000;
-  return std::make_unique<workload::Workload>(spec, machine::address_space_base(pid),
-                                              util::Rng{pid + 1});
-}
-
-void expect_machines_identical(machine::Machine& a, machine::Machine& b) {
-  ASSERT_EQ(a.task_count(), b.task_count());
-  EXPECT_EQ(a.now(), b.now());
-  EXPECT_EQ(a.stats().context_switches, b.stats().context_switches);
-  EXPECT_EQ(a.stats().steps, b.stats().steps);
-  for (machine::TaskId id = 0; id < a.task_count(); ++id) {
-    const machine::Task& ta = a.task(id);
-    const machine::Task& tb = b.task(id);
-    EXPECT_EQ(ta.counters().instructions, tb.counters().instructions) << "task " << id;
-    EXPECT_EQ(ta.counters().memory_refs, tb.counters().memory_refs) << "task " << id;
-    EXPECT_EQ(ta.counters().l1_misses, tb.counters().l1_misses) << "task " << id;
-    EXPECT_EQ(ta.counters().l2_misses, tb.counters().l2_misses) << "task " << id;
-    EXPECT_EQ(ta.counters().tlb_misses, tb.counters().tlb_misses) << "task " << id;
-    EXPECT_EQ(ta.counters().context_switches, tb.counters().context_switches) << "task " << id;
-    EXPECT_EQ(ta.total_user_cycles, tb.total_user_cycles) << "task " << id;
-    EXPECT_EQ(ta.completed_runs, tb.completed_runs) << "task " << id;
-  }
-  const auto& ha = a.hierarchy().l2().stats();
-  const auto& hb = b.hierarchy().l2().stats();
-  EXPECT_EQ(ha.accesses, hb.accesses);
-  EXPECT_EQ(ha.misses, hb.misses);
-  EXPECT_EQ(ha.evictions, hb.evictions);
-}
-
-TEST(Determinism, RunBatchMatchesRunFor) {
-  // Driving the machine batch-by-batch must be bit-identical to one
-  // run_for() over the same simulated span: same clocks, same per-task
-  // counters, same shared-L2 history.
-  machine::Machine a(tiny_machine());
-  machine::Machine b(tiny_machine());
-  for (std::size_t pid = 0; pid < 3; ++pid) {
-    a.add_task(tiny_task("t" + std::to_string(pid), pid));
-    b.add_task(tiny_task("t" + std::to_string(pid), pid));
-  }
-
-  const std::uint64_t span = 2'000'000;
-  a.run_for(span);
-
-  const std::uint64_t deadline = b.now() + span;
-  while (b.now() < deadline) {
-    if (b.run_batch(1) == 0) break;
-  }
-  expect_machines_identical(a, b);
-}
-
-TEST(Determinism, RunBatchGranularityIsIrrelevant) {
-  // 1-batch steps and 64-batch strides must land on the same state.
-  machine::Machine a(tiny_machine());
-  machine::Machine b(tiny_machine());
-  a.add_task(tiny_task("x", 0));
-  a.add_task(tiny_task("y", 1));
-  b.add_task(tiny_task("x", 0));
-  b.add_task(tiny_task("y", 1));
-
-  std::uint64_t ran_a = 0, ran_b = 0;
-  for (int i = 0; i < 640; ++i) ran_a += a.run_batch(1);
-  for (int i = 0; i < 10; ++i) ran_b += b.run_batch(64);
-  ASSERT_EQ(ran_a, 640u);
-  ASSERT_EQ(ran_b, 640u);
-  expect_machines_identical(a, b);
-}
-
-TEST(Determinism, RunBatchReportsExecutedCount) {
-  machine::Machine m(tiny_machine());
-  m.add_task(tiny_task("solo", 0));
-  EXPECT_EQ(m.run_batch(5), 5u);
-  EXPECT_GT(m.now(), 0u);
-  // A machine with no work executes zero batches.
-  machine::Machine idle(tiny_machine());
-  EXPECT_EQ(idle.run_batch(5), 0u);
 }
 
 // --- summarize_improvements property tests --------------------------------

@@ -53,7 +53,7 @@ void expect_cache_stats_eq(const cachesim::CacheStats& got, const cachesim::Cach
 /// two-level reference, asserting bit-identity access by access and on every
 /// end-of-run counter. @p config must be a degenerate topology.
 void run_degenerate_differential(const cachesim::HierarchyConfig& config, std::uint64_t seed) {
-  ASSERT_TRUE(config.topology().degenerate());
+  ASSERT_TRUE(config.degenerate());
   cachesim::Hierarchy opt(config);
   testref::ReferenceTwoLevelHierarchy ref(config);
 
@@ -230,7 +230,7 @@ std::vector<cachesim::MemRef> random_trace(std::uint64_t seed, std::size_t n) {
 
 TEST(DifferentialHierarchy, BatchChunkSizesMatchSerialReplayOnThreeLevels) {
   const cachesim::HierarchyConfig config = three_level_config();
-  ASSERT_FALSE(config.topology().degenerate());
+  ASSERT_FALSE(config.degenerate());
 
   // Serial ground truth: access() one reference at a time.
   cachesim::Hierarchy serial(config);

@@ -13,7 +13,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/report.hpp"
 #include "obs/json.hpp"
@@ -259,15 +261,25 @@ TEST(Report, ValidatorAcceptsBothSchemaVersions) {
   EXPECT_EQ(validate_report(report).size(), 1u);
 }
 
+TEST(Report, SweepReportNeedsOneCellPerMix) {
+  // Two cells over one mix (a two-allocator grid) has no sweep document:
+  // validate_report requires one outcome per mix.
+  SweepGridResult grid;
+  grid.mixes = {synthetic_outcome().mix};
+  grid.outcomes = {synthetic_outcome(), synthetic_outcome()};
+  EXPECT_THROW((void)build_sweep_report(tiny_pipeline(), grid, {}), std::invalid_argument);
+}
+
 // --- golden report --------------------------------------------------------
 
 TEST(GoldenReport, FixedSeedSweepMatchesCommittedGolden) {
   // Same tiny configuration the determinism suite uses: 4-program pool,
   // mixes of 2, every program covered once -> a 2-mix sweep.
   const PipelineConfig config = tiny_pipeline();
-  const SweepResult sweep =
-      run_sweep(config, {"mcf", "libquantum", "povray", "gobmk"}, 2, 1);
-  const obs::Json report = build_sweep_report(config, sweep);
+  const std::vector<std::string> pool = {"mcf", "libquantum", "povray", "gobmk"};
+  const SweepGridResult sweep = run_sweep_grid(config, pool, 2, 1, {config.allocator});
+  const obs::Json report =
+      build_sweep_report(config, sweep, summarize_improvements(pool, sweep.outcomes));
   ASSERT_TRUE(validate_report(report).empty());
 
   const std::string golden_path = std::string(SYMBIOSIS_TEST_DATA_DIR) + "/golden_report.json";

@@ -1,10 +1,10 @@
-// HierarchyTopology structure tests: degenerate-shape classification, the
+// HierarchyConfig shape tests: degenerate-shape classification, the
 // cluster arithmetic the signature hardware and scheduler rely on, and the
 // validate() rejections (non-dividing cluster counts, oversubscribed or
 // zero-way partitions) observed as CheckError via ScopedCheckMode(Throw).
 // Also the Cache-level way-partition semantics: fills confined to a group's
 // ways, lookups unconfined, TreePlru refusing partitioning outright.
-#include "cachesim/topology.hpp"
+#include "cachesim/hierarchy.hpp"
 
 #include <gtest/gtest.h>
 
@@ -23,10 +23,10 @@ using util::CheckError;
 using util::CheckMode;
 using util::ScopedCheckMode;
 
-HierarchyTopology clustered_topology() {
-  HierarchyTopology t;
+HierarchyConfig clustered_topology() {
+  HierarchyConfig t;
   t.num_cores = 32;
-  t.l2_shared = true;
+  t.shared_l2 = true;
   t.l2_clusters = 4;
   t.l1 = {8 * 1024, 8, 64};
   t.l2 = {512 * 1024, 16, 64};
@@ -35,30 +35,30 @@ HierarchyTopology clustered_topology() {
 }
 
 TEST(Topology, DegenerateShapesAreExactlyTheLegacyTestbeds) {
-  HierarchyTopology shared;  // defaults: 2 cores, 1 shared L2, no L3
+  HierarchyConfig shared;  // defaults: 2 cores, 1 shared L2, no L3
   EXPECT_TRUE(shared.degenerate());
 
-  HierarchyTopology priv;
-  priv.l2_shared = false;
+  HierarchyConfig priv;
+  priv.shared_l2 = false;
   EXPECT_TRUE(priv.degenerate()) << "private L2s (P4 SMP) are the other legacy testbed";
 
   // Each graph extension on its own leaves the legacy world.
-  HierarchyTopology clustered;
+  HierarchyConfig clustered;
   clustered.num_cores = 4;
   clustered.l2_clusters = 2;
   EXPECT_FALSE(clustered.degenerate());
 
-  HierarchyTopology with_l3;
+  HierarchyConfig with_l3;
   with_l3.l3 = CacheGeometry{1024 * 1024, 16, 64};
   EXPECT_FALSE(with_l3.degenerate());
 
-  HierarchyTopology partitioned;
-  partitioned.l2_partition.ways_per_group = {8, 8};
+  HierarchyConfig partitioned;
+  partitioned.l2_way_partition.ways_per_group = {8, 8};
   EXPECT_FALSE(partitioned.degenerate());
 }
 
 TEST(Topology, ClusterArithmetic) {
-  const HierarchyTopology t = clustered_topology();
+  const HierarchyConfig t = clustered_topology();
   EXPECT_EQ(t.clusters(), 4u);
   EXPECT_EQ(t.cores_per_cluster(), 8u);
   for (std::size_t core = 0; core < t.num_cores; ++core) {
@@ -72,9 +72,9 @@ TEST(Topology, ClusterArithmetic) {
 }
 
 TEST(Topology, PrivateL2NormalizesToOneCoreClusters) {
-  HierarchyTopology t;
+  HierarchyConfig t;
   t.num_cores = 4;
-  t.l2_shared = false;
+  t.shared_l2 = false;
   EXPECT_EQ(t.clusters(), 4u);
   EXPECT_EQ(t.cores_per_cluster(), 1u);
   EXPECT_NO_THROW(t.validate());
@@ -82,7 +82,7 @@ TEST(Topology, PrivateL2NormalizesToOneCoreClusters) {
 
 TEST(Topology, SingleCoreClustersAreValid) {
   const ScopedCheckMode guard(CheckMode::Throw);
-  HierarchyTopology t = clustered_topology();
+  HierarchyConfig t = clustered_topology();
   t.l2_clusters = 32;  // every core its own shared-L2 "cluster"
   EXPECT_NO_THROW(t.validate());
   EXPECT_EQ(t.cores_per_cluster(), 1u);
@@ -91,7 +91,7 @@ TEST(Topology, SingleCoreClustersAreValid) {
 
 TEST(Topology, RejectsNonDividingClusterCount) {
   const ScopedCheckMode guard(CheckMode::Throw);
-  HierarchyTopology t = clustered_topology();
+  HierarchyConfig t = clustered_topology();
   t.l2_clusters = 5;  // 32 % 5 != 0
   EXPECT_THROW(t.validate(), CheckError);
   t.l2_clusters = 3;
@@ -102,82 +102,82 @@ TEST(Topology, RejectsNonDividingClusterCount) {
 
 TEST(Topology, RejectsDegenerateCounts) {
   const ScopedCheckMode guard(CheckMode::Throw);
-  HierarchyTopology t;
+  HierarchyConfig t;
   t.num_cores = 0;
   EXPECT_THROW(t.validate(), CheckError);
 
-  t = HierarchyTopology{};
+  t = HierarchyConfig{};
   t.l2_clusters = 0;
   EXPECT_THROW(t.validate(), CheckError);
 
-  t = HierarchyTopology{};
+  t = HierarchyConfig{};
   t.num_cores = 2;
   t.l2_clusters = 4;  // more L2s than cores
   EXPECT_THROW(t.validate(), CheckError);
 
-  t = HierarchyTopology{};
-  t.l2_shared = false;
+  t = HierarchyConfig{};
+  t.shared_l2 = false;
   t.l2_clusters = 2;  // private L2s fix clusters = cores
   EXPECT_THROW(t.validate(), CheckError);
 }
 
 TEST(Topology, RejectsMismatchedL3LineSize) {
   const ScopedCheckMode guard(CheckMode::Throw);
-  HierarchyTopology t = clustered_topology();
+  HierarchyConfig t = clustered_topology();
   t.l3 = CacheGeometry{2 * 1024 * 1024, 16, 128};
   EXPECT_THROW(t.validate(), CheckError);
 }
 
 TEST(Topology, RejectsL3PartitionWithoutL3) {
   const ScopedCheckMode guard(CheckMode::Throw);
-  HierarchyTopology t;
-  t.l3_partition.ways_per_group = {8, 8};
+  HierarchyConfig t;
+  t.l3_way_partition.ways_per_group = {8, 8};
   EXPECT_THROW(t.validate(), CheckError);
 }
 
 TEST(Topology, PartitionMustMatchSharerGroupCount) {
   const ScopedCheckMode guard(CheckMode::Throw);
-  HierarchyTopology t = clustered_topology();
-  t.l2_partition.ways_per_group = {8, 8};  // 8 cluster-local cores, 2 groups
+  HierarchyConfig t = clustered_topology();
+  t.l2_way_partition.ways_per_group = {8, 8};  // 8 cluster-local cores, 2 groups
   EXPECT_THROW(t.validate(), CheckError);
-  t.l2_partition.ways_per_group = {2, 2, 2, 2, 2, 2, 2, 2};
+  t.l2_way_partition.ways_per_group = {2, 2, 2, 2, 2, 2, 2, 2};
   EXPECT_NO_THROW(t.validate());
 
   t = clustered_topology();
-  t.l3_partition.ways_per_group = {4, 4, 4};  // 4 clusters, 3 groups
+  t.l3_way_partition.ways_per_group = {4, 4, 4};  // 4 clusters, 3 groups
   EXPECT_THROW(t.validate(), CheckError);
-  t.l3_partition.ways_per_group = {4, 4, 4, 4};
+  t.l3_way_partition.ways_per_group = {4, 4, 4, 4};
   EXPECT_NO_THROW(t.validate());
 }
 
 TEST(Topology, RejectsPartitionSumPastAssociativity) {
   const ScopedCheckMode guard(CheckMode::Throw);
-  HierarchyTopology t = clustered_topology();
-  t.l2_partition.ways_per_group = {4, 4, 4, 4, 4, 4, 4, 4};  // 32 ways of 16
+  HierarchyConfig t = clustered_topology();
+  t.l2_way_partition.ways_per_group = {4, 4, 4, 4, 4, 4, 4, 4};  // 32 ways of 16
   EXPECT_THROW(t.validate(), CheckError);
 
   t = clustered_topology();
-  t.l3_partition.ways_per_group = {8, 8, 8, 8};  // 32 ways of 16
+  t.l3_way_partition.ways_per_group = {8, 8, 8, 8};  // 32 ways of 16
   EXPECT_THROW(t.validate(), CheckError);
 }
 
 TEST(Topology, RejectsZeroWayPartitionGroup) {
   const ScopedCheckMode guard(CheckMode::Throw);
-  HierarchyTopology t = clustered_topology();
-  t.l2_partition.ways_per_group = {16, 0, 0, 0, 0, 0, 0, 0};
+  HierarchyConfig t = clustered_topology();
+  t.l2_way_partition.ways_per_group = {16, 0, 0, 0, 0, 0, 0, 0};
   EXPECT_THROW(t.validate(), CheckError);
 }
 
 TEST(Topology, SingleWayPartitionsValidate) {
   const ScopedCheckMode guard(CheckMode::Throw);
-  HierarchyTopology t = clustered_topology();
-  t.l2_partition.ways_per_group = {1, 1, 1, 1, 1, 1, 1, 1};
-  t.l3_partition.ways_per_group = {1, 1, 1, 1};
+  HierarchyConfig t = clustered_topology();
+  t.l2_way_partition.ways_per_group = {1, 1, 1, 1, 1, 1, 1, 1};
+  t.l3_way_partition.ways_per_group = {1, 1, 1, 1};
   EXPECT_NO_THROW(t.validate());
   // A partition may also leave ways unclaimed (sum < associativity): those
   // ways simply never fill.
-  EXPECT_EQ(t.l2_partition.total_ways(), 8u);
-  EXPECT_EQ(t.l3_partition.total_ways(), 4u);
+  EXPECT_EQ(t.l2_way_partition.total_ways(), 8u);
+  EXPECT_EQ(t.l3_way_partition.total_ways(), 4u);
 }
 
 TEST(Topology, RandomValidShapesAlwaysValidate) {
@@ -187,7 +187,7 @@ TEST(Topology, RandomValidShapesAlwaysValidate) {
   util::Rng rng(20260808);
   const std::size_t core_options[] = {1, 2, 4, 8, 12, 16, 24, 32, 48, 64};
   for (int trial = 0; trial < 200; ++trial) {
-    HierarchyTopology t;
+    HierarchyConfig t;
     t.num_cores = core_options[rng.next_below(std::size(core_options))];
     std::vector<std::size_t> divisors;
     for (std::size_t d = 1; d <= t.num_cores; ++d) {
@@ -205,11 +205,11 @@ TEST(Topology, RandomValidShapesAlwaysValidate) {
 
 TEST(Topology, DescribeNamesTheShape) {
   EXPECT_EQ(clustered_topology().describe(), "32 cores / 4x512KiB cluster L2 / 2MiB shared L3");
-  HierarchyTopology priv;
-  priv.l2_shared = false;
+  HierarchyConfig priv;
+  priv.shared_l2 = false;
   priv.l2 = {128 * 1024, 8, 64};
   EXPECT_EQ(priv.describe(), "2 cores / private 128KiB L2s");
-  HierarchyTopology legacy;
+  HierarchyConfig legacy;
   EXPECT_EQ(legacy.describe(), "2 cores / 1x256KiB shared L2");
 }
 
