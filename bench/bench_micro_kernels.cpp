@@ -1,9 +1,9 @@
 // Micro-benchmarks of the runtime-dispatched SIMD kernel layer
 // (sig/kernels.hpp): bulk popcount, fused XOR-popcount (the symbiosis
-// metric), the batched all-cores evaluation, and the packed 4-bit CBF
-// counter kernels. Every backend compiled into this binary is registered
-// under its own name (BM_KernelX/<backend>/...), so one run on AVX2
-// hardware yields the scalar-vs-avx2 speedup the perf gate tracks.
+// metric) and the batched all-cores evaluation. Every backend compiled
+// into this binary is registered under its own name
+// (BM_KernelX/<backend>/...), so one run on AVX2 hardware yields the
+// scalar-vs-avx2 speedup the perf gate tracks.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -23,16 +23,6 @@ std::vector<std::uint64_t> random_words(std::uint64_t seed, std::size_t n) {
   std::vector<std::uint64_t> words(n);
   for (auto& word : words) word = rng();
   return words;
-}
-
-std::vector<std::uint8_t> random_nibbles(std::uint64_t seed, std::size_t nibbles) {
-  util::Rng rng(seed);
-  std::vector<std::uint8_t> packed((nibbles + 1) / 2);
-  for (auto& byte : packed) {
-    byte = static_cast<std::uint8_t>((rng.next_below(16) << 4) | rng.next_below(16));
-  }
-  if ((nibbles & 1) != 0) packed.back() &= 0x0f;  // keep the padding nibble zero
-  return packed;
 }
 
 void bm_popcount(benchmark::State& state, const sig::kernels::KernelOps& ops, std::size_t n) {
@@ -72,36 +62,6 @@ void bm_symbiosis_batch(benchmark::State& state, const sig::kernels::KernelOps& 
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * cores));
 }
 
-void bm_cbf_decay(benchmark::State& state, const sig::kernels::KernelOps& ops,
-                  std::size_t nibbles) {
-  auto packed = random_nibbles(5, nibbles);
-  for (auto _ : state) {
-    ops.nibble_decay(packed.data(), nibbles, 15);
-    benchmark::DoNotOptimize(packed.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * nibbles));
-}
-
-void bm_cbf_merge(benchmark::State& state, const sig::kernels::KernelOps& ops,
-                  std::size_t nibbles) {
-  auto dst = random_nibbles(6, nibbles);
-  const auto src = random_nibbles(7, nibbles);
-  for (auto _ : state) {
-    ops.nibble_merge_saturating(dst.data(), src.data(), nibbles, 15);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * nibbles));
-}
-
-void bm_cbf_count_eq(benchmark::State& state, const sig::kernels::KernelOps& ops,
-                     std::size_t nibbles) {
-  const auto packed = random_nibbles(8, nibbles);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ops.nibble_count_eq(packed.data(), nibbles, 0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * nibbles));
-}
-
 void register_backend(util::SimdBackend backend) {
   const sig::kernels::KernelOps& ops = sig::kernels::kernel_ops(backend);
   const std::string tag(util::simd_backend_name(backend));
@@ -116,12 +76,6 @@ void register_backend(util::SimdBackend backend) {
   benchmark::RegisterBenchmark(
       ("BM_KernelSymbiosisBatch/" + tag + "/8x64").c_str(),
       [&ops](benchmark::State& s) { bm_symbiosis_batch(s, ops, 8, 64); });
-  benchmark::RegisterBenchmark(("BM_KernelCbfDecay/" + tag + "/65536").c_str(),
-                               [&ops](benchmark::State& s) { bm_cbf_decay(s, ops, 65536); });
-  benchmark::RegisterBenchmark(("BM_KernelCbfMerge/" + tag + "/65536").c_str(),
-                               [&ops](benchmark::State& s) { bm_cbf_merge(s, ops, 65536); });
-  benchmark::RegisterBenchmark(("BM_KernelCbfCountEq/" + tag + "/65536").c_str(),
-                               [&ops](benchmark::State& s) { bm_cbf_count_eq(s, ops, 65536); });
 }
 
 struct KernelBenchRegistrar {

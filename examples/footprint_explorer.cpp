@@ -9,13 +9,19 @@
 //   ./footprint_explorer --benchmark mcf --corunner libquantum
 //   ./footprint_explorer --benchmark omnetpp --hash modulo --sample-shift 2
 #include <cstdio>
+#include <exception>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "machine/machine.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/benchmark_model.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_cli(int argc, char** argv) {
   using namespace symbiosis;
 
   util::ArgParser args("footprint_explorer", "inspect Bloom-filter cache signatures");
@@ -30,6 +36,10 @@ int main(int argc, char** argv) {
 
   machine::MachineConfig cfg = machine::core2duo_config();
   cfg.hierarchy.signature.hash = sig::parse_hash_kind(hash);
+  if (sample_shift > std::numeric_limits<unsigned>::max()) {
+    throw std::invalid_argument("sample_shift " + std::to_string(sample_shift) +
+                                " does not fit in unsigned");
+  }
   cfg.hierarchy.signature.sample_shift = static_cast<unsigned>(sample_shift);
   machine::Machine m(cfg);
 
@@ -77,4 +87,15 @@ int main(int argc, char** argv) {
       "occupancy weight); 'mean RBV' is the per-quantum footprint signature the\n"
       "allocators consume; low symbiosis = heavy interference with core 1 (§3.1).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "footprint_explorer: %s\n", e.what());
+    return 1;
+  }
 }

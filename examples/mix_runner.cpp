@@ -8,7 +8,10 @@
 //                --cores 4 --l2-kb 512
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "core/report.hpp"
@@ -52,6 +55,10 @@ int run_cli(int argc, char** argv) {
   config.machine.hierarchy.num_cores = cores;
   config.machine.hierarchy.l2.size_bytes = l2_kb * 1024;
   config.machine.hierarchy.signature.hash = sig::parse_hash_kind(hash);
+  if (sample_shift > std::numeric_limits<unsigned>::max()) {
+    throw std::invalid_argument("sample_shift " + std::to_string(sample_shift) +
+                                " does not fit in unsigned");
+  }
   config.machine.hierarchy.signature.sample_shift = static_cast<unsigned>(sample_shift);
   config.sync_scale();
   config.scale.length_scale = scale;

@@ -39,11 +39,6 @@ std::size_t BitVector::xor_popcount(const BitVector& other) const noexcept {
   return kernels::ops().xor_popcount(words_.data(), other.words_.data(), words_.size());
 }
 
-std::size_t BitVector::and_popcount(const BitVector& other) const noexcept {
-  SYM_DCHECK_EQ(bits_, other.bits_, "sig.bitvector") << "bit-vector width mismatch";
-  return kernels::ops().and_popcount(words_.data(), other.words_.data(), words_.size());
-}
-
 void BitVector::assign_and_not(const BitVector& a, const BitVector& b) noexcept {
   SYM_DCHECK_EQ(bits_, a.bits_, "sig.bitvector") << "bit-vector width mismatch";
   SYM_DCHECK_EQ(bits_, b.bits_, "sig.bitvector") << "bit-vector width mismatch";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "sig/kernels.hpp"
@@ -12,12 +13,11 @@
 
 namespace symbiosis::sig {
 
-FilterUnit::FilterUnit(FilterUnitConfig config)
-    : config_(config),
-      presence_mode_(config.hash == HashKind::Presence),
-      single_index_(presence_mode_ || config.hash_functions == 1),
-      counter_max_(static_cast<std::uint16_t>((1u << config.counter_bits) - 1)),
-      counters_(config.entries(), 0) {
+namespace {
+
+/// Validate before anything is derived from the config: counter_max_ shifts
+/// by counter_bits, and entries() and sampled() shift by sample_shift.
+const FilterUnitConfig& validated(const FilterUnitConfig& config) {
   if (config.num_cores == 0) throw std::invalid_argument("FilterUnit: num_cores must be > 0");
   if (!util::is_pow2(config.cache_sets)) {
     throw std::invalid_argument("FilterUnit: cache_sets must be a power of two");
@@ -25,17 +25,31 @@ FilterUnit::FilterUnit(FilterUnitConfig config)
   if (config.counter_bits == 0 || config.counter_bits > 16) {
     throw std::invalid_argument("FilterUnit: counter_bits must be in [1, 16]");
   }
-  if ((config.cache_sets >> config.sample_shift) == 0) {
-    throw std::invalid_argument("FilterUnit: sample_shift leaves no sampled sets");
+  if (config.sample_shift > util::floor_log2(config.cache_sets)) {
+    throw std::invalid_argument("FilterUnit: sample_shift " +
+                                std::to_string(config.sample_shift) +
+                                " leaves no sampled sets (must be <= log2(cache_sets) = " +
+                                std::to_string(util::floor_log2(config.cache_sets)) + ")");
   }
-  if (config.hash_functions == 0 || config.hash_functions > kMaxHashFunctions) {
+  if (config.hash_functions == 0 || config.hash_functions > FilterUnit::kMaxHashFunctions) {
     throw std::invalid_argument("FilterUnit: hash_functions must be in [1, 8]");
   }
+  return config;
+}
+
+}  // namespace
+
+FilterUnit::FilterUnit(FilterUnitConfig config)
+    : config_(validated(config)),
+      presence_mode_(config_.hash == HashKind::Presence),
+      single_index_(presence_mode_ || config_.hash_functions == 1),
+      counter_max_(static_cast<std::uint16_t>((1u << config_.counter_bits) - 1)),
+      counters_(config_.entries(), 0) {
   if (!presence_mode_) {
-    hash_.emplace(config.hash, config.entries());
+    hash_.emplace(config_.hash, config_.entries());
   }
-  cf_.assign(config.num_cores, BitVector(config.entries()));
-  lf_.assign(config.num_cores, BitVector(config.entries()));
+  cf_.assign(config_.num_cores, BitVector(config_.entries()));
+  lf_.assign(config_.num_cores, BitVector(config_.entries()));
 }
 
 SYM_HOT unsigned FilterUnit::indices_of(LineAddr line, std::size_t set, std::size_t way,

@@ -58,6 +58,7 @@ struct FilterUnitConfig {
 /// The split-CBF signature unit attached to a shared L2.
 class FilterUnit {
  public:
+  /// Throws std::invalid_argument for a malformed config.
   explicit FilterUnit(FilterUnitConfig config);
 
   [[nodiscard]] const FilterUnitConfig& config() const noexcept { return config_; }

@@ -47,8 +47,8 @@ class IndexHash {
   /// Map a line address to an index in [0, entries).
   ///
   /// Defined inline: this is the innermost kernel of every Bloom update on
-  /// the simulation hot path, and the call sites (CountingBloomFilter,
-  /// FilterUnit) live in other translation units.
+  /// the simulation hot path, and its call site (FilterUnit) lives in
+  /// another translation unit.
   [[nodiscard]] std::size_t index(LineAddr line) const noexcept {
     switch (kind_) {
       case HashKind::Xor:

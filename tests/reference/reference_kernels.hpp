@@ -1,6 +1,6 @@
 // reference_kernels.hpp — deliberately naive reference implementations of
-// the simulation hot-path kernels (cache access, counting-Bloom update,
-// split-filter signature unit, bit-vector metrics).
+// the simulation hot-path kernels (cache access, split-filter signature
+// unit, bit-vector metrics).
 //
 // These models optimise for OBVIOUSNESS, not speed: straight-line loops,
 // per-bit scans, std::set-based dedup, recounted aggregates. The optimised
@@ -20,7 +20,6 @@
 #include "cachesim/cache.hpp"
 #include "cachesim/hierarchy.hpp"
 #include "sig/bitvector.hpp"
-#include "sig/counting_bloom.hpp"
 #include "sig/filter_unit.hpp"
 #include "sig/hash.hpp"
 #include "util/rng.hpp"
@@ -253,59 +252,6 @@ class ReferenceCache {
   cachesim::CacheStats total_;
   std::vector<cachesim::CacheStats> per_requestor_;
   std::vector<Range> range_;
-};
-
-/// Naive counting Bloom filter: std::set dedup, recounted aggregates.
-class ReferenceCbf {
- public:
-  ReferenceCbf(std::size_t entries, unsigned counter_bits, unsigned k, sig::HashKind kind)
-      : hash_(kind, entries), k_(k), max_value_((1u << counter_bits) - 1), counters_(entries, 0) {}
-
-  [[nodiscard]] std::set<std::size_t> indices_of(sig::LineAddr line) const {
-    std::set<std::size_t> out;
-    for (unsigned i = 0; i < k_; ++i) out.insert(hash_.index_k(line, i));
-    return out;
-  }
-
-  void insert(sig::LineAddr line) {
-    for (const std::size_t idx : indices_of(line)) {
-      if (counters_[idx] < max_value_) ++counters_[idx];
-    }
-  }
-
-  void remove(sig::LineAddr line) {
-    for (const std::size_t idx : indices_of(line)) {
-      if (counters_[idx] == 0 || counters_[idx] == max_value_) continue;
-      --counters_[idx];
-    }
-  }
-
-  [[nodiscard]] bool maybe_contains(sig::LineAddr line) const {
-    for (const std::size_t idx : indices_of(line)) {
-      if (counters_[idx] == 0) return false;
-    }
-    return true;
-  }
-
-  [[nodiscard]] std::size_t nonzero_count() const {
-    std::size_t n = 0;
-    for (const unsigned c : counters_) n += c != 0;
-    return n;
-  }
-
-  [[nodiscard]] std::size_t saturated_count() const {
-    std::size_t n = 0;
-    for (const unsigned c : counters_) n += c == max_value_;
-    return n;
-  }
-
-  [[nodiscard]] unsigned counter_at(std::size_t i) const { return counters_.at(i); }
-
- private:
-  sig::IndexHash hash_;
-  unsigned k_;
-  unsigned max_value_;
-  std::vector<unsigned> counters_;
 };
 
 /// Naive split-CBF signature unit: shared counters + per-core index SETS.
@@ -559,17 +505,9 @@ class ReferenceTwoLevelHierarchy {
   return n;
 }
 
-[[nodiscard]] inline std::size_t naive_and_popcount(const sig::BitVector& a,
-                                                    const sig::BitVector& b) {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) n += a.test(i) && b.test(i);
-  return n;
-}
-
-// --- raw-word and packed-nibble references for the SIMD kernel layer
-// (sig/kernels.hpp): per-bit / per-nibble scans, no word tricks. Every
-// compiled backend is differentially tested against these on awkward
-// widths by tests/test_kernels.cpp.
+// --- raw-word references for the SIMD kernel layer (sig/kernels.hpp):
+// per-bit scans, no word tricks. Every compiled backend is differentially
+// tested against these on awkward widths by tests/test_kernels.cpp.
 
 [[nodiscard]] inline std::size_t naive_word_popcount(const std::uint64_t* words, std::size_t n) {
   std::size_t total = 0;
@@ -588,15 +526,6 @@ class ReferenceTwoLevelHierarchy {
   return total;
 }
 
-[[nodiscard]] inline std::size_t naive_word_and_popcount(const std::uint64_t* a,
-                                                         const std::uint64_t* b, std::size_t n) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (unsigned bit = 0; bit < 64; ++bit) total += ((a[i] & b[i]) >> bit) & 1u;
-  }
-  return total;
-}
-
 inline void naive_word_and_not(std::uint64_t* dst, const std::uint64_t* a, const std::uint64_t* b,
                                std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -606,45 +535,6 @@ inline void naive_word_and_not(std::uint64_t* dst, const std::uint64_t* a, const
       if (set) word |= std::uint64_t{1} << bit;
     }
     dst[i] = word;
-  }
-}
-
-/// Counter @p i of a packed nibble array (two per byte, low nibble first).
-[[nodiscard]] inline std::uint8_t naive_nibble_get(const std::vector<std::uint8_t>& packed,
-                                                   std::size_t i) {
-  return (packed.at(i / 2) >> ((i % 2) * 4)) & 0x0fu;
-}
-
-inline void naive_nibble_set(std::vector<std::uint8_t>& packed, std::size_t i,
-                             std::uint8_t value) {
-  const unsigned shift = (i % 2) * 4;
-  packed.at(i / 2) = static_cast<std::uint8_t>(
-      (packed.at(i / 2) & ~(0x0fu << shift)) | ((value & 0x0fu) << shift));
-}
-
-[[nodiscard]] inline std::size_t naive_nibble_count_eq(const std::vector<std::uint8_t>& packed,
-                                                       std::size_t nibbles, std::uint8_t value) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < nibbles; ++i) total += naive_nibble_get(packed, i) == value;
-  return total;
-}
-
-inline void naive_nibble_merge_saturating(std::vector<std::uint8_t>& dst,
-                                          const std::vector<std::uint8_t>& src,
-                                          std::size_t nibbles, std::uint8_t max_value) {
-  for (std::size_t i = 0; i < nibbles; ++i) {
-    const unsigned sum = naive_nibble_get(dst, i) + naive_nibble_get(src, i);
-    naive_nibble_set(dst, i, static_cast<std::uint8_t>(sum > max_value ? max_value : sum));
-  }
-}
-
-inline void naive_nibble_decay(std::vector<std::uint8_t>& packed, std::size_t nibbles,
-                               std::uint8_t max_value) {
-  for (std::size_t i = 0; i < nibbles; ++i) {
-    const std::uint8_t value = naive_nibble_get(packed, i);
-    if (value != 0 && value != max_value) {
-      naive_nibble_set(packed, i, static_cast<std::uint8_t>(value - 1));
-    }
   }
 }
 

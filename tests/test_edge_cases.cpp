@@ -3,7 +3,7 @@
 
 #include "core/profile.hpp"
 #include "machine/machine.hpp"
-#include "sig/counting_bloom.hpp"
+#include "sig/filter_unit.hpp"
 #include "util/check.hpp"
 #include "vm/hypervisor.hpp"
 #include "workload/benchmark_model.hpp"
@@ -150,19 +150,29 @@ TEST(EdgeCases, FilterInvariantsHoldAfterMixedRun) {
   EXPECT_EQ(util::check_violation_total(), 0u);
 }
 
-TEST(EdgeCases, CountingBloomStaysConsistentThroughChurn) {
-  // Saturating counters plus remove-on-zero no-ops must never corrupt the
-  // nonzero bookkeeping that validate() audits.
+TEST(EdgeCases, FilterUnitStaysConsistentThroughChurn) {
+  // Saturating 2-bit counters, k = 3 collisions and evictions of lines that
+  // were never filled must never leave a CF bit behind a drained counter or
+  // a counter above saturation, which validate() audits. 40 lines fill 64
+  // counters only partly: some stick at max, the rest drain back to zero, so
+  // the stray evictions meet both the stuck-at-max and the underflow guard.
   const util::ScopedCheckMode guard(util::CheckMode::Throw);
-  sig::CountingBloomFilter cbf(/*entries=*/64, /*counter_bits=*/2, /*k=*/3);
+  sig::FilterUnitConfig config;
+  config.cache_sets = 16;
+  config.cache_ways = 4;  // 64 entries
+  config.counter_bits = 2;
+  config.hash_functions = 3;
+  sig::FilterUnit unit(config);
   for (std::uint64_t round = 0; round < 4; ++round) {
-    for (std::uint64_t key = 0; key < 200; ++key) cbf.insert(key * 64);
-    EXPECT_NO_THROW(cbf.validate());
-    for (std::uint64_t key = 0; key < 200; ++key) cbf.remove(key * 64);
-    EXPECT_NO_THROW(cbf.validate());
-    // Removing keys that were never inserted is a defined no-op.
-    for (std::uint64_t key = 500; key < 520; ++key) cbf.remove(key * 64);
-    EXPECT_NO_THROW(cbf.validate());
+    for (std::uint64_t key = 0; key < 40; ++key) unit.on_fill(key * 64, key % 2, key % 16, 0);
+    EXPECT_GT(unit.saturated_counters(), 0u);
+    EXPECT_NO_THROW(unit.validate());
+    for (std::uint64_t key = 0; key < 40; ++key) unit.on_evict(key * 64, key % 16, 0);
+    EXPECT_LT(unit.saturated_counters(), unit.entries());
+    EXPECT_NO_THROW(unit.validate());
+    // Evicting lines that were never filled must leave the unit consistent.
+    for (std::uint64_t key = 500; key < 520; ++key) unit.on_evict(key * 64, key % 16, 0);
+    EXPECT_NO_THROW(unit.validate());
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include <stdexcept>
 
+#include "util/rng.hpp"
+
 namespace symbiosis::sig {
 namespace {
 
@@ -177,6 +179,42 @@ TEST(FilterUnit, Validation) {
   cfg = small_config();
   cfg.sample_shift = 10;
   EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
+  // Rejected before entries() or sampled() shifts by it: a shift of 64 is
+  // undefined behaviour.
+  cfg = small_config();
+  cfg.sample_shift = 64;
+  EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
+  cfg = small_config();
+  cfg.counter_bits = 17;
+  EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
+  for (const unsigned k : {0u, 9u}) {
+    cfg = small_config();
+    cfg.hash_functions = k;
+    EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument) << "k = " << k;
+  }
+  // log2(16 sets) = 4 is the largest legal shift: one sampled set.
+  cfg = small_config();
+  cfg.sample_shift = 4;
+  EXPECT_EQ(FilterUnit{cfg}.entries(), 4u);
+}
+
+TEST(FilterUnit, MoreHashesFillTheCoreFilterFaster) {
+  // §2.4 / §5.3: every extra hash function sets another CF bit per fill, so
+  // a small filter saturates sooner with k = 4 than with k = 1 (the Fig 14
+  // k = 2 ablation rests on this).
+  FilterUnitConfig cfg = small_config();
+  cfg.cache_sets = 128;  // 512 entries
+  cfg.hash = HashKind::Xor;
+  FilterUnit k1(cfg);
+  cfg.hash_functions = 4;
+  FilterUnit k4(cfg);
+  util::Rng rng(3);
+  for (std::size_t i = 0; i < 300; ++i) {
+    const LineAddr line = rng();
+    k1.on_fill(line, 0, i % 128, 0);
+    k4.on_fill(line, 0, i % 128, 0);
+  }
+  EXPECT_GT(k4.core_filter_fill(0), k1.core_filter_fill(0));
 }
 
 TEST(FilterUnit, FillRatioDiagnostics) {
