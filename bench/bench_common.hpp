@@ -20,21 +20,6 @@ namespace symbiosis::bench {
   return config;
 }
 
-/// Measure every balanced 2-core mapping of each mix once under @p base.
-/// Variants that differ only in phase 1 (allocator, hash, period) share
-/// these runtimes and are charged through charge_vote().
-[[nodiscard]] inline std::vector<core::MixOutcome> measure_every_mapping(
-    const core::PipelineConfig& base, const std::vector<std::vector<std::string>>& mixes) {
-  std::vector<core::MixOutcome> measured(mixes.size());
-  for (std::size_t i = 0; i < mixes.size(); ++i) {
-    measured[i].mix = mixes[i];
-    for (const auto& alloc : sched::enumerate_balanced_allocations(mixes[i].size(), 2)) {
-      measured[i].mappings.push_back(core::measure_mapping(base, mixes[i], alloc));
-    }
-  }
-  return measured;
-}
-
 /// Mean improvement over the worst mapping, across the mix's benchmarks.
 [[nodiscard]] inline double mean_improvement(const core::MixOutcome& outcome) {
   double sum = 0.0;
@@ -42,16 +27,44 @@ namespace symbiosis::bench {
   return sum / static_cast<double>(outcome.mix.size());
 }
 
-/// Run phase 1 of @p config on @p measured's mix and charge the variant the
-/// measured runtime of the mapping it voted for (mapping 0 when the vote is
-/// not among the measured ones): its mean improvement over the worst.
-[[nodiscard]] inline double charge_vote(const core::PipelineConfig& config,
-                                        core::MixOutcome measured) {
-  core::SymbioticScheduler pipeline(config);
-  const sched::Allocation chosen = pipeline.choose_allocation(measured.mix);
+/// Every balanced mapping of each mix under @p base, as engine tasks in mix
+/// order.
+[[nodiscard]] inline std::vector<core::MeasureTask> every_mapping(
+    const core::PipelineConfig& base, const std::vector<std::vector<std::string>>& mixes) {
+  std::vector<core::MeasureTask> tasks;
+  for (const auto& mix : mixes) {
+    for (auto& alloc : sched::enumerate_balanced_allocations(
+             mix.size(), base.machine.hierarchy.num_cores)) {
+      tasks.push_back({base, mix, std::move(alloc)});
+    }
+  }
+  return tasks;
+}
+
+/// Fold the runs of every_mapping(@p tasks) back into one measured outcome
+/// per mix of @p mixes.
+[[nodiscard]] inline std::vector<core::MixOutcome> measured_outcomes(
+    const std::vector<std::vector<std::string>>& mixes,
+    const std::vector<core::MeasureTask>& tasks, const std::vector<core::MappingRun>& runs) {
+  std::vector<core::MixOutcome> measured(mixes.size());
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < mixes.size(); ++i) {
+    measured[i].mix = mixes[i];
+    for (; j < tasks.size() && tasks[j].mix == mixes[i]; ++j) {
+      measured[i].mappings.push_back(runs.at(j));
+    }
+  }
+  return measured;
+}
+
+/// Charge a phase-1 @p vote the measured runtime of the mapping it chose
+/// (mapping 0 when the choice is not among the measured ones): its mean
+/// improvement over the worst.
+[[nodiscard]] inline double improvement_of_vote(core::MixOutcome measured,
+                                                const core::PhaseVote& vote) {
   measured.chosen = 0;
   for (std::size_t k = 0; k < measured.mappings.size(); ++k) {
-    if (measured.mappings[k].allocation == chosen) measured.chosen = k;
+    if (measured.mappings[k].allocation == vote.chosen) measured.chosen = k;
   }
   return mean_improvement(measured);
 }

@@ -15,6 +15,7 @@
 #include "core/report.hpp"
 #include "obs/stopwatch.hpp"
 #include "util/cli.hpp"
+#include "util/threadpool.hpp"
 
 int main(int argc, char** argv) {
   using namespace symbiosis;
@@ -31,8 +32,9 @@ int main(int argc, char** argv) {
   core::SweepGridResult sweep;
   {
     obs::PhaseTimings::Scoped phase(timings, "run_sweep_grid");
+    util::ThreadPool workers;
     sweep = core::run_sweep_grid(config, pool, 4, static_cast<std::size_t>(per_benchmark),
-                                 {config.allocator});
+                                 {config.allocator}, 1, false, &workers);
   }
   const auto summary = core::summarize_improvements(pool, sweep.outcomes);
   bench::print_improvements("weighted interference graph, chosen-vs-worst:", summary);

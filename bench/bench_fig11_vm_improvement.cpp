@@ -9,6 +9,7 @@
 
 #include "bench_common.hpp"
 #include "util/cli.hpp"
+#include "util/threadpool.hpp"
 
 int main(int argc, char** argv) {
   using namespace symbiosis;
@@ -21,9 +22,10 @@ int main(int argc, char** argv) {
   core::PipelineConfig config = bench::default_pipeline(seed);
   config.virtualized = true;
   const auto& pool = workload::spec2006_pool();
+  util::ThreadPool workers;
   const auto sweep = core::run_sweep_grid(config, pool, 4,
                                           static_cast<std::size_t>(per_benchmark),
-                                          {config.allocator});
+                                          {config.allocator}, 1, false, &workers);
   const auto summary = core::summarize_improvements(pool, sweep.outcomes);
   bench::print_improvements("weighted interference graph, chosen-vs-worst, VM phase 2:", summary);
   std::printf(

@@ -13,6 +13,7 @@
 
 #include "bench_common.hpp"
 #include "util/cli.hpp"
+#include "util/threadpool.hpp"
 #include "workload/parsec_model.hpp"
 
 int main(int argc, char** argv) {
@@ -26,9 +27,10 @@ int main(int argc, char** argv) {
   core::PipelineConfig config = bench::default_pipeline(seed);
   config.scale.length_scale = 0.6;  // 16 schedulable threads per mix
   const auto& pool = workload::parsec_pool();
+  util::ThreadPool workers;
   const auto sweep =
       core::run_sweep_grid(config, pool, 4, static_cast<std::size_t>(per_benchmark),
-                           {config.allocator}, 1, /*multithreaded=*/true);
+                           {config.allocator}, 1, /*multithreaded=*/true, &workers);
   const auto summary = core::summarize_improvements(pool, sweep.outcomes);
   bench::print_improvements("two-phase multithreaded allocation, chosen-vs-worst-of-sample:",
                             summary);

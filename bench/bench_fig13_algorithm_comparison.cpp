@@ -10,12 +10,15 @@
 //
 // Implementation note: all mappings of a mix are measured ONCE; each
 // algorithm then only pays for its phase-1 emulation and is charged the
-// measured runtime of whatever mapping it voted for.
+// measured runtime of whatever mapping it voted for. Votes and measurements
+// are one task list on the core engine, spread over a pool sized to the
+// host.
 #include <cstdio>
 #include <map>
 
 #include "bench_common.hpp"
 #include "util/cli.hpp"
+#include "util/threadpool.hpp"
 
 using namespace symbiosis;
 
@@ -45,17 +48,36 @@ int main(int argc, char** argv) {
     table.set_header(header);
   }
 
-  // Measure all mappings of each mix once.
+  // One vote per (algorithm, mix), then the period ablation's votes on the
+  // first mix; every mapping of each mix is measured once.
   const core::PipelineConfig base = bench::default_pipeline(seed);
-  std::vector<core::MixOutcome> measured = bench::measure_every_mapping(base, mixes);
+  const std::vector<std::uint64_t> periods = {5'000'000ull, 10'000'000ull, 20'000'000ull,
+                                              40'000'000ull};
+  std::vector<core::VoteTask> votes;
+  for (const auto& algorithm : algorithms) {
+    for (const auto& mix : mixes) {
+      core::PipelineConfig config = base;
+      config.allocator = algorithm;
+      votes.push_back({config, mix});
+    }
+  }
+  for (const std::uint64_t period : periods) {
+    core::PipelineConfig config = base;
+    config.allocator_period_cycles = period;
+    votes.push_back({config, mixes[0]});
+  }
+  const std::vector<core::MeasureTask> measurements = bench::every_mapping(base, mixes);
+  util::ThreadPool pool;
+  const core::PhaseResults results = core::run_phase_tasks(votes, measurements, &pool);
+  std::vector<core::MixOutcome> measured =
+      bench::measured_outcomes(mixes, measurements, results.runs);
 
+  std::size_t vote = 0;
   for (const auto& algorithm : algorithms) {
     std::vector<std::string> row = {algorithm};
     double total = 0.0;
     for (std::size_t i = 0; i < mixes.size(); ++i) {
-      core::PipelineConfig config = base;
-      config.allocator = algorithm;
-      const double improvement = bench::charge_vote(config, measured[i]);
+      const double improvement = bench::improvement_of_vote(measured[i], results.votes[vote++]);
       total += improvement;
       row.push_back(util::TextTable::pct(improvement));
     }
@@ -87,11 +109,10 @@ int main(int argc, char** argv) {
   // §4.1 uses it; shorter windows = fewer samples per vote).
   std::printf("\nablation: allocator period (weighted-graph, first mix):\n");
   util::TextTable ablation({"period (Mcycles)", "improvement"});
-  for (const std::uint64_t period : {5'000'000ull, 10'000'000ull, 20'000'000ull, 40'000'000ull}) {
-    core::PipelineConfig config = base;
-    config.allocator_period_cycles = period;
-    ablation.add_row({util::TextTable::fmt(static_cast<double>(period) / 1e6, 0),
-                      util::TextTable::pct(bench::charge_vote(config, measured[0]))});
+  for (const std::uint64_t period : periods) {
+    ablation.add_row(
+        {util::TextTable::fmt(static_cast<double>(period) / 1e6, 0),
+         util::TextTable::pct(bench::improvement_of_vote(measured[0], results.votes[vote++]))});
   }
   ablation.print();
 

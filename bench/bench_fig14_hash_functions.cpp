@@ -10,6 +10,7 @@
 
 #include "bench_common.hpp"
 #include "util/cli.hpp"
+#include "util/threadpool.hpp"
 
 using namespace symbiosis;
 
@@ -60,9 +61,28 @@ int main(int argc, char** argv) {
 
   const core::PipelineConfig base = bench::default_pipeline(seed);
 
-  // Measure all mappings of each mix once (hash choice only affects the
-  // phase-1 decision, not the measured runtimes).
-  const std::vector<core::MixOutcome> measured = bench::measure_every_mapping(base, mixes);
+  // One vote per (variant, mix); all mappings of each mix are measured once
+  // (hash choice only affects the phase-1 decision, not the measured
+  // runtimes). Votes, measurements and the saturation runs spread over a
+  // pool sized to the host.
+  std::vector<core::PipelineConfig> configs;
+  std::vector<core::VoteTask> votes;
+  for (const auto& variant : variants) {
+    core::PipelineConfig config = base;
+    config.machine.hierarchy.signature.hash = variant.hash;
+    config.machine.hierarchy.signature.hash_functions = variant.k;
+    configs.push_back(config);
+    for (const auto& mix : mixes) votes.push_back({config, mix});
+  }
+  const std::vector<core::MeasureTask> measurements = bench::every_mapping(base, mixes);
+  util::ThreadPool pool;
+  const core::PhaseResults results = core::run_phase_tasks(votes, measurements, &pool);
+  const std::vector<core::MixOutcome> measured =
+      bench::measured_outcomes(mixes, measurements, results.runs);
+  std::vector<double> saturation(variants.size());
+  pool.parallel_for(0, variants.size(), [&](std::size_t v) {
+    saturation[v] = observe_saturation(configs[v], mixes[1]);
+  });
 
   util::TextTable table;
   {
@@ -73,20 +93,17 @@ int main(int argc, char** argv) {
     table.set_header(header);
   }
 
-  for (const auto& variant : variants) {
-    core::PipelineConfig config = base;
-    config.machine.hierarchy.signature.hash = variant.hash;
-    config.machine.hierarchy.signature.hash_functions = variant.k;
-
-    std::vector<std::string> row = {variant.label};
+  std::size_t vote = 0;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    std::vector<std::string> row = {variants[v].label};
     double total = 0.0;
     for (std::size_t i = 0; i < mixes.size(); ++i) {
-      const double improvement = bench::charge_vote(config, measured[i]);
+      const double improvement = bench::improvement_of_vote(measured[i], results.votes[vote++]);
       total += improvement;
       row.push_back(util::TextTable::pct(improvement));
     }
     row.push_back(util::TextTable::pct(total / static_cast<double>(mixes.size())));
-    row.push_back(util::TextTable::pct(observe_saturation(config, mixes[1])));
+    row.push_back(util::TextTable::pct(saturation[v]));
     table.add_row(row);
   }
   std::printf("mean improvement over the worst mapping, per mix, by hash function:\n");

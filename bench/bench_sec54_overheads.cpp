@@ -11,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "core/overheads.hpp"
+#include "util/threadpool.hpp"
 
 using namespace symbiosis;
 
@@ -46,16 +47,26 @@ int main() {
       {"mcf", "libquantum", "povray", "gobmk"},
       {"omnetpp", "libquantum", "astar", "perlbench"},
   };
+  const std::vector<unsigned> shifts = {0u, 1u, 2u, 3u};
+  std::vector<core::VoteTask> votes;
+  for (const auto& mix : mixes) {
+    for (const unsigned shift : shifts) {
+      core::PipelineConfig config = bench::default_pipeline();
+      config.machine.hierarchy.signature.sample_shift = shift;
+      votes.push_back({config, mix});
+    }
+  }
+  util::ThreadPool pool;
+  const core::PhaseResults results = core::run_phase_tasks(votes, {}, &pool);
+
   util::TextTable agreement({"mix", "100%", "50%", "25%", "12.5%", "agree with unsampled?"});
+  std::size_t vote = 0;
   for (const auto& mix : mixes) {
     std::vector<std::string> row = {mix[0] + "/" + mix[1] + "/.."};
     std::string reference;
     bool all_agree = true;
-    for (const unsigned shift : {0u, 1u, 2u, 3u}) {
-      core::PipelineConfig config = bench::default_pipeline();
-      config.machine.hierarchy.signature.sample_shift = shift;
-      core::SymbioticScheduler pipeline(config);
-      const std::string key = pipeline.choose_allocation(mix).key();
+    for (const unsigned shift : shifts) {
+      const std::string key = results.votes[vote++].chosen.key();
       if (shift == 0) reference = key;
       all_agree = all_agree && key == reference;
       row.push_back(key);

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "util/threadpool.hpp"
 
 int main() {
   using namespace symbiosis;
@@ -12,7 +13,8 @@ int main() {
 
   const core::PipelineConfig config = bench::default_pipeline();
   const std::vector<std::string> mix = {"povray", "gobmk", "libquantum", "hmmer"};
-  const core::MixOutcome outcome = core::run_mix_experiment(config, mix);
+  util::ThreadPool workers;
+  const core::MixOutcome outcome = core::run_mix_experiment(config, mix, &workers);
 
   util::TextTable table;
   std::vector<std::string> header = {"benchmark"};

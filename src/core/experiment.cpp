@@ -1,12 +1,14 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "sched/policy.hpp"
 #include "util/log.hpp"
+#include "workload/parsec_model.hpp"
 
 namespace symbiosis::core {
 
@@ -37,71 +39,134 @@ double MixOutcome::oracle_improvement(std::size_t i) const {
 
 namespace {
 
-/// Find @p allocation among @p mappings (canonical comparison); push a
-/// fresh measurement if phase 1 produced an unbalanced mapping that the
-/// enumeration does not contain.
-std::size_t locate_or_add(std::vector<MappingRun>& mappings, const sched::Allocation& allocation,
-                          const std::function<MappingRun(const sched::Allocation&)>& measure) {
-  for (std::size_t i = 0; i < mappings.size(); ++i) {
-    if (mappings[i].allocation == allocation) return i;
+PhaseVote run_vote(const VoteTask& task) {
+  SymbioticScheduler pipeline(task.config);
+  PhaseVote vote;
+  vote.chosen = task.multithreaded ? pipeline.choose_allocation_mt(task.mix)
+                                   : pipeline.choose_allocation(task.mix);
+  vote.votes = pipeline.vote_table();
+  return vote;
+}
+
+MappingRun run_measurement(const MeasureTask& task) {
+  if (task.multithreaded) return measure_mapping_mt(task.config, task.mix, task.allocation);
+  return task.config.virtualized ? measure_mapping_vm(task.config, task.mix, task.allocation)
+                                 : measure_mapping(task.config, task.mix, task.allocation);
+}
+
+/// A cell's reference mappings: every balanced mapping, or for a
+/// multithreaded mix the default round-robin plus distinct random balanced
+/// samples over all of its threads.
+std::vector<sched::Allocation> reference_mappings(const ExperimentCell& cell) {
+  const std::size_t cores = cell.config.machine.hierarchy.num_cores;
+  if (!cell.multithreaded) return sched::enumerate_balanced_allocations(cell.mix.size(), cores);
+
+  std::size_t threads = 0;
+  for (const auto& name : cell.mix) {
+    threads += workload::make_parsec_benchmark(name, cell.config.scale).threads;
   }
-  mappings.push_back(measure(allocation));
-  return mappings.size() - 1;
+  const std::vector<sched::TaskProfile> dummy(threads);
+  std::vector<sched::Allocation> refs;
+  sched::DefaultAllocator default_alloc;
+  refs.push_back(default_alloc.allocate(dummy, cores));
+  std::set<std::string> seen{refs.front().key()};
+  for (std::size_t s = 0; s < cell.sampled_mappings; ++s) {
+    sched::RandomAllocator random_alloc(cell.config.seed + 7919 * (s + 1));
+    sched::Allocation alloc = random_alloc.allocate(dummy, cores);
+    if (seen.insert(alloc.key()).second) refs.push_back(std::move(alloc));
+  }
+  return refs;
 }
 
 }  // namespace
 
-MixOutcome run_mix_experiment(const PipelineConfig& config, const std::vector<std::string>& mix) {
-  obs::counter("core.mixes.run").add(1);
-  MixOutcome outcome;
-  outcome.mix = mix;
-
-  const std::size_t cores = config.machine.hierarchy.num_cores;
-  SymbioticScheduler pipeline(config);
-  const sched::Allocation chosen = pipeline.choose_allocation(mix);
-  outcome.votes = pipeline.vote_table();
-
-  auto measure = [&](const sched::Allocation& alloc) {
-    return config.virtualized ? measure_mapping_vm(config, mix, alloc)
-                              : measure_mapping(config, mix, alloc);
+PhaseResults run_phase_tasks(const std::vector<VoteTask>& votes,
+                             const std::vector<MeasureTask>& measurements,
+                             util::ThreadPool* pool) {
+  PhaseResults results;
+  results.votes.resize(votes.size());
+  results.runs.resize(measurements.size());
+  // Task t < votes.size() is a vote; parallel_for queues tasks in index
+  // order, so every vote is queued before the first measurement.
+  const auto run_task = [&](std::size_t t) {
+    if (t < votes.size()) {
+      results.votes[t] = run_vote(votes[t]);
+    } else {
+      results.runs[t - votes.size()] = run_measurement(measurements[t - votes.size()]);
+    }
   };
-  for (const auto& alloc : sched::enumerate_balanced_allocations(mix.size(), cores)) {
-    outcome.mappings.push_back(measure(alloc));
+  const std::size_t tasks = votes.size() + measurements.size();
+  if (pool) {
+    pool->parallel_for(0, tasks, run_task);
+  } else {
+    for (std::size_t t = 0; t < tasks; ++t) run_task(t);
   }
-  outcome.chosen = locate_or_add(outcome.mappings, chosen, measure);
-  return outcome;
+  return results;
+}
+
+std::vector<MixOutcome> run_experiment_cells(const std::vector<ExperimentCell>& cells,
+                                             util::ThreadPool* pool) {
+  // A config phase 1 rejects is reported as phase 1 reports it, before any
+  // mapping is enumerated.
+  for (const auto& cell : cells) (void)SymbioticScheduler(cell.config);
+
+  // First wave: one vote per cell, then each cell's reference mappings in
+  // order; first_ref[c] is where cell c's runs start.
+  std::vector<VoteTask> votes;
+  std::vector<MeasureTask> refs;
+  std::vector<std::size_t> first_ref;
+  votes.reserve(cells.size());
+  first_ref.reserve(cells.size() + 1);
+  for (const auto& cell : cells) {
+    votes.push_back(VoteTask{cell.config, cell.mix, cell.multithreaded});
+    first_ref.push_back(refs.size());
+    for (auto& alloc : reference_mappings(cell)) {
+      refs.push_back(MeasureTask{cell.config, cell.mix, std::move(alloc), cell.multithreaded});
+    }
+  }
+  first_ref.push_back(refs.size());
+  obs::counter("core.mixes.run").add(cells.size());
+  PhaseResults first = run_phase_tasks(votes, refs, pool);
+
+  // Locate each cell's choice among its references. A choice outside them
+  // (an unbalanced phase-1 pick, or a multithreaded pick off the sample) is
+  // measured in a second wave and appended to that cell's mappings.
+  std::vector<MixOutcome> outcomes(cells.size());
+  std::vector<MeasureTask> extras;
+  std::vector<std::size_t> extra_cell;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    MixOutcome& outcome = outcomes[c];
+    outcome.mix = cells[c].mix;
+    outcome.votes = std::move(first.votes[c].votes);
+    const auto begin = first.runs.begin() + static_cast<std::ptrdiff_t>(first_ref[c]);
+    const auto end = first.runs.begin() + static_cast<std::ptrdiff_t>(first_ref[c + 1]);
+    outcome.mappings.assign(std::make_move_iterator(begin), std::make_move_iterator(end));
+    const sched::Allocation& chosen = first.votes[c].chosen;
+    const auto found =
+        std::find_if(outcome.mappings.begin(), outcome.mappings.end(),
+                     [&](const MappingRun& run) { return run.allocation == chosen; });
+    outcome.chosen = static_cast<std::size_t>(found - outcome.mappings.begin());
+    if (found == outcome.mappings.end()) {
+      extras.push_back(MeasureTask{cells[c].config, cells[c].mix, chosen, cells[c].multithreaded});
+      extra_cell.push_back(c);
+    }
+  }
+  PhaseResults second = run_phase_tasks({}, extras, pool);
+  for (std::size_t e = 0; e < extras.size(); ++e) {
+    outcomes[extra_cell[e]].mappings.push_back(std::move(second.runs[e]));
+  }
+  return outcomes;
+}
+
+MixOutcome run_mix_experiment(const PipelineConfig& config, const std::vector<std::string>& mix,
+                              util::ThreadPool* pool) {
+  return std::move(run_experiment_cells({ExperimentCell{config, mix}}, pool).front());
 }
 
 MixOutcome run_mix_experiment_mt(const PipelineConfig& config, const std::vector<std::string>& mix,
-                                 std::size_t sampled_mappings) {
-  obs::counter("core.mixes.run").add(1);
-  MixOutcome outcome;
-  outcome.mix = mix;
-
-  const std::size_t cores = config.machine.hierarchy.num_cores;
-  SymbioticScheduler pipeline(config);
-  const sched::Allocation chosen = pipeline.choose_allocation_mt(mix);
-  outcome.votes = pipeline.vote_table();
-
-  const std::size_t threads = chosen.group_of.size();
-  auto measure = [&](const sched::Allocation& alloc) {
-    return measure_mapping_mt(config, mix, alloc);
-  };
-
-  // Reference set: default round-robin + random balanced samples.
-  std::vector<sched::TaskProfile> dummy(threads);
-  sched::DefaultAllocator default_alloc;
-  outcome.mappings.push_back(measure(default_alloc.allocate(dummy, cores)));
-
-  std::set<std::string> seen{outcome.mappings.front().allocation.key()};
-  for (std::size_t s = 0; s < sampled_mappings; ++s) {
-    sched::RandomAllocator random_alloc(config.seed + 7919 * (s + 1));
-    const sched::Allocation alloc = random_alloc.allocate(dummy, cores);
-    if (!seen.insert(alloc.key()).second) continue;
-    outcome.mappings.push_back(measure(alloc));
-  }
-  outcome.chosen = locate_or_add(outcome.mappings, chosen, measure);
-  return outcome;
+                                 std::size_t sampled_mappings, util::ThreadPool* pool) {
+  return std::move(
+      run_experiment_cells({ExperimentCell{config, mix, true, sampled_mappings}}, pool).front());
 }
 
 std::vector<std::vector<std::string>> sample_mixes(const std::vector<std::string>& pool,
@@ -194,14 +259,13 @@ SweepGridResult run_sweep_grid(const PipelineConfig& config, const std::vector<s
   SYMBIOSIS_LOG_INFO("run_sweep_grid: %zu cells (%zu mixes x %zu algorithms x %zu replicates)",
                      result.cells.size(), result.mixes.size(), algorithms.size(),
                      seed_replicates);
-  result.outcomes.resize(result.cells.size());
 
-  // Cells are independent experiments; each writes only cells[i]/outcomes[i]
-  // so the grid is identical for any worker count and any shard cut. `base`
-  // is shared by reference but only .split() (const) is ever called on it —
-  // replicate seeds come from per-cell substreams.
+  // Replicate seeds come from per-cell substreams of `base` (only the const
+  // .split() is called), so a cell's config depends on its index alone.
   const util::Rng base(config.seed);
-  auto run_one = [&](std::size_t i) {
+  std::vector<ExperimentCell> cells;
+  cells.reserve(result.cells.size());
+  for (std::size_t i = 0; i < result.cells.size(); ++i) {
     SweepCell& cell = result.cells[i];
     PipelineConfig cell_config = config;
     cell_config.allocator = cell.allocator;
@@ -210,17 +274,10 @@ SweepGridResult run_sweep_grid(const PipelineConfig& config, const std::vector<s
       cell_config.seed = cell_rng();
       cell.seed = cell_config.seed;
     }
-    result.outcomes[i] = multithreaded
-                             ? run_mix_experiment_mt(cell_config, result.mixes[cell.mix_index])
-                             : run_mix_experiment(cell_config, result.mixes[cell.mix_index]);
-  };
-  if (pool_threads) {
-    const std::size_t grain = std::max<std::size_t>(
-        1, result.cells.size() / (pool_threads->size() * 4));
-    pool_threads->parallel_for_sharded(0, result.cells.size(), run_one, grain);
-  } else {
-    for (std::size_t i = 0; i < result.cells.size(); ++i) run_one(i);
+    cells.push_back(
+        ExperimentCell{std::move(cell_config), result.mixes[cell.mix_index], multithreaded});
   }
+  result.outcomes = run_experiment_cells(cells, pool_threads);
   return result;
 }
 

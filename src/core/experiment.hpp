@@ -2,9 +2,15 @@
 // 10–13): run EVERY possible mapping of a mix, find which one phase 1
 // chose, and report per-benchmark improvements of the chosen mapping over
 // the worst mapping.
+//
+// Everything here runs on one phase-task engine: each phase-1 emulation
+// and each phase-2 measurement is its own util::ThreadPool task that
+// builds its own machine and writes one fixed result slot, so every result
+// is bit-identical at any worker count (tests/test_determinism.cpp).
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -35,11 +41,73 @@ struct MixOutcome {
   [[nodiscard]] bool operator==(const MixOutcome&) const = default;
 };
 
+// --- the phase-task engine ------------------------------------------------
+
+/// One phase-1 emulation: @p mix votes under @p config (SPEC processes and
+/// config.allocator, or PARSEC threads and the two-phase algorithm).
+struct VoteTask {
+  PipelineConfig config;
+  std::vector<std::string> mix;
+  bool multithreaded = false;
+};
+
+/// What one phase-1 emulation decided.
+struct PhaseVote {
+  sched::Allocation chosen;          ///< the majority allocation
+  std::map<std::string, int> votes;  ///< the vote table behind it
+
+  [[nodiscard]] bool operator==(const PhaseVote&) const = default;
+};
+
+/// One phase-2 measurement: @p mix pinned per @p allocation, natively, in
+/// VMs (config.virtualized) or as PARSEC threads (@p multithreaded).
+struct MeasureTask {
+  PipelineConfig config;
+  std::vector<std::string> mix;
+  sched::Allocation allocation;
+  bool multithreaded = false;
+};
+
+/// Results slot for slot: votes[i] answers the i-th VoteTask, runs[j] the
+/// j-th MeasureTask.
+struct PhaseResults {
+  std::vector<PhaseVote> votes;
+  std::vector<MappingRun> runs;
+};
+
+/// Run every task as its own @p pool task (in order on the calling thread
+/// when null). Votes are queued before measurements because they are the
+/// longest; the first exception is rethrown once every queued task has
+/// finished.
+[[nodiscard]] PhaseResults run_phase_tasks(const std::vector<VoteTask>& votes,
+                                           const std::vector<MeasureTask>& measurements,
+                                           util::ThreadPool* pool = nullptr);
+
+/// One experiment cell: phase 1 of @p mix under @p config, then its
+/// reference mappings — every balanced mapping, or for @p multithreaded
+/// mixes {default, @p sampled_mappings random balanced mappings} — and the
+/// chosen mapping when it falls outside that set.
+struct ExperimentCell {
+  PipelineConfig config;
+  std::vector<std::string> mix;
+  bool multithreaded = false;
+  std::size_t sampled_mappings = 6;
+};
+
+/// Run @p cells on the engine: every phase 1 and every reference mapping
+/// is one task, then, once every vote is in, one task per chosen mapping
+/// outside its cell's reference set. outcomes[i] is cells[i]'s. No work is
+/// shared between cells.
+[[nodiscard]] std::vector<MixOutcome> run_experiment_cells(
+    const std::vector<ExperimentCell>& cells, util::ThreadPool* pool = nullptr);
+
 /// Run the full experiment for one single-threaded mix. When
 /// config.virtualized is set, phase 2 measures inside VMs (phase 1 stays
-/// process-based, as in the paper — Simics could not run Xen).
+/// process-based, as in the paper — Simics could not run Xen). @p pool
+/// spreads the cell's phase runs; the outcome does not depend on it.
 [[nodiscard]] MixOutcome run_mix_experiment(const PipelineConfig& config,
-                                            const std::vector<std::string>& mix);
+                                            const std::vector<std::string>& mix,
+                                            util::ThreadPool* pool = nullptr);
 
 /// Multi-threaded variant: thread-level mappings cannot be enumerated
 /// exhaustively (C(16,8) for four 4-thread apps), so the reference set is
@@ -48,7 +116,8 @@ struct MixOutcome {
 /// is recorded in DESIGN.md.
 [[nodiscard]] MixOutcome run_mix_experiment_mt(const PipelineConfig& config,
                                                const std::vector<std::string>& mix,
-                                               std::size_t sampled_mappings = 6);
+                                               std::size_t sampled_mappings = 6,
+                                               util::ThreadPool* pool = nullptr);
 
 /// Deterministic sample of distinct mixes of @p mix_size from @p pool such
 /// that every pool entry appears in at least @p per_benchmark mixes.
@@ -97,12 +166,13 @@ struct SweepGridResult {
 };
 
 /// Sweep the full (mix × allocator × seed-replicate) grid: every cell is an
-/// independent experiment, sharded across @p pool_threads when non-null.
-/// Results land at their cell index and replicate r > 0 derives its
-/// pipeline seed from a per-cell substream of config.seed (util::Rng
-/// .split(cell), the sanctioned per-shard pattern), so the result is
-/// BIT-IDENTICAL for any worker count — the determinism suite pins this at
-/// 1/2/8 workers. Replicate 0 keeps config.seed itself, so a grid over
+/// independent experiment whose phase runs spread across @p pool_threads
+/// when non-null (run_experiment_cells). Results land at their cell index
+/// and replicate r > 0 derives its pipeline seed from a per-cell substream
+/// of config.seed (util::Rng .split(cell), the sanctioned per-shard
+/// pattern), so the result is BIT-IDENTICAL for any worker count — the
+/// determinism suite pins this at 1/2/8 workers. Replicate 0 keeps
+/// config.seed itself, so a grid over
 /// {config.allocator} with one replicate is the plain Figs 10–12 sweep:
 /// outcomes[i] is mixes[i]'s experiment, and summarize_improvements folds
 /// it into the per-benchmark bars.

@@ -99,6 +99,16 @@ sched::Allocation SymbioticScheduler::choose_allocation_mt(const std::vector<std
 
 namespace {
 
+/// The phase-2 machine: config.machine with the signature unit off. Nothing
+/// in phase 2 reads a signature, and the unit never touches simulated time
+/// (pinned by tests/test_signature_invariance.cpp), so the measured run is
+/// the same with or without it.
+machine::MachineConfig measurement_machine(const PipelineConfig& config) {
+  machine::MachineConfig mc = config.machine;
+  mc.hierarchy.signature.enabled = false;
+  return mc;
+}
+
 /// Attach per-level cache counters (schema v2). Degenerate two-level
 /// machines skip this so their v1 report stays byte-identical to the
 /// pre-graph implementation.
@@ -132,7 +142,7 @@ MappingRun measure_mapping(const PipelineConfig& config, const std::vector<std::
   if (allocation.group_of.size() != mix.size()) {
     throw std::invalid_argument("measure_mapping: allocation size != mix size");
   }
-  machine::Machine m(config.machine);
+  machine::Machine m(measurement_machine(config));
   const auto ids = add_mix_tasks(m, mix, config.scale, config.seed);
   apply_allocation(m, ids, allocation);
   const bool completed = m.run_to_all_complete(config.measure_max_cycles);
@@ -144,9 +154,7 @@ MappingRun measure_mapping_vm(const PipelineConfig& config, const std::vector<st
   if (allocation.group_of.size() != mix.size()) {
     throw std::invalid_argument("measure_mapping_vm: allocation size != mix size");
   }
-  vm::VmConfig vc = config.vm;
-  vc.machine = config.machine;
-  vm::Hypervisor hv(vc);
+  vm::Hypervisor hv(measurement_machine(config), config.vm);
 
   util::Rng rng(config.seed);
   std::vector<vm::DomainId> domains;
@@ -174,7 +182,7 @@ MappingRun measure_mapping_vm(const PipelineConfig& config, const std::vector<st
 
 MappingRun measure_mapping_mt(const PipelineConfig& config, const std::vector<std::string>& mix,
                               const sched::Allocation& allocation) {
-  machine::Machine m(config.machine);
+  machine::Machine m(measurement_machine(config));
   util::Rng rng(config.seed);
   std::vector<std::vector<machine::TaskId>> process_threads;
   for (std::size_t i = 0; i < mix.size(); ++i) {

@@ -7,7 +7,8 @@
 //
 // Phase 2 ("real machine execution"): run the mix — natively or inside
 // VMs on the hypervisor — pinned to a given allocation, to completion,
-// and report per-benchmark user times.
+// and report per-benchmark user times. Phase 2 reads no signature, so its
+// machines run with the signature unit off.
 //
 // This header is the library's primary entry point; see examples/ for
 // usage and core/experiment.hpp for the all-mappings measurement harness.
@@ -40,7 +41,8 @@ struct PipelineConfig {
   std::uint64_t emulation_cycles = 140'000'000;
   /// Safety cap for phase-2 measurement runs (0 = uncapped).
   std::uint64_t measure_max_cycles = 0;
-  /// Phase 2 runs inside VMs on the hypervisor when set (§5.1.2).
+  /// Phase 2 runs inside VMs on the hypervisor when set (§5.1.2), on
+  /// `machine` with the virtualization costs of `vm` on top.
   bool virtualized = false;
   vm::VmConfig vm{};
   std::uint64_t seed = 42;

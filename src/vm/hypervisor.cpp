@@ -11,14 +11,15 @@ namespace {
 
 /// Build the Dom0 housekeeping workload: an endless light loop over a small
 /// hot region (control-plane code and data).
-std::unique_ptr<workload::Workload> make_dom0_workload(const VmConfig& config) {
+std::unique_ptr<workload::Workload> make_dom0_workload(const VmConfig& config,
+                                                       std::uint64_t line_bytes) {
   workload::BenchmarkSpec spec;
   spec.name = "dom0";
   workload::PhaseSpec phase;
   phase.pattern.kind = workload::PatternKind::Zipf;
   phase.pattern.region_bytes = config.dom0_region_bytes;
   phase.pattern.zipf_skew = 1.0;
-  phase.pattern.line_bytes = config.machine.hierarchy.l1.line_bytes;
+  phase.pattern.line_bytes = line_bytes;
   phase.compute_gap = config.dom0_compute_gap;
   phase.write_ratio = 0.3;
   phase.refs = 10'000;
@@ -31,8 +32,9 @@ std::unique_ptr<workload::Workload> make_dom0_workload(const VmConfig& config) {
 
 }  // namespace
 
-Hypervisor::Hypervisor(const VmConfig& config) : config_(config) {
-  machine::MachineConfig mc = config.machine;
+Hypervisor::Hypervisor(const machine::MachineConfig& machine, const VmConfig& config)
+    : config_(config) {
+  machine::MachineConfig mc = machine;
   mc.context_switch_cycles = config.vm_switch_cycles;
   mc.switch_pollution_lines = config.switch_pollution_lines;
   mc.hierarchy.latency.tlb_miss += config.nested_tlb_penalty;
@@ -41,7 +43,8 @@ Hypervisor::Hypervisor(const VmConfig& config) : config_(config) {
   if (config.dom0_background) {
     Domain dom0;
     dom0.name = "Domain-0";
-    const machine::TaskId id = machine_->add_task(make_dom0_workload(config), /*affinity=*/0);
+    const machine::TaskId id = machine_->add_task(
+        make_dom0_workload(config, machine.hierarchy.l1.line_bytes), /*affinity=*/0);
     machine_->task(id).background = true;
     dom0.vcpus.push_back(id);
     domains_.push_back(std::move(dom0));

@@ -25,7 +25,6 @@ namespace symbiosis::vm {
 
 /// Virtualization-layer configuration on top of a machine preset.
 struct VmConfig {
-  machine::MachineConfig machine = machine::core2duo_config();
   /// World-switch cost (replaces the native context_switch_cycles).
   std::uint64_t vm_switch_cycles = 12'000;
   /// Cache lines the hypervisor+Dom0 touch around each world switch.
@@ -49,7 +48,8 @@ using DomainId = std::size_t;
 
 class Hypervisor {
  public:
-  explicit Hypervisor(const VmConfig& config);
+  /// Run guests on @p machine with @p config's virtualization costs on top.
+  Hypervisor(const machine::MachineConfig& machine, const VmConfig& config);
 
   /// Create a guest domain running @p stream on a single vcpu.
   DomainId create_domain(std::unique_ptr<workload::TaskStream> stream,

@@ -1,6 +1,7 @@
 #include "workload/access_pattern.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 
@@ -165,45 +166,94 @@ class StreamPattern final : public PatternBase {
 /// Temporal-locality generator: with probability `locality` reuse a recent
 /// line (LRU-stack depth drawn geometrically), otherwise touch the next new
 /// line. Gives a smooth knob between cache-friendly and cache-hostile.
+///
+/// The move-to-top LRU stack (bounded at kMaxDepth entries) lives in
+/// buf_[bottom_, top_) with the hot end at top_ - 1: a reuse moves the entry
+/// at the depth it drew straight to the top, an overflow advances bottom_,
+/// and the live entries slide back to buf_[0] only when top_ hits the end
+/// of the buffer. A new line asks the membership bitmap instead of scanning
+/// the stack. The stack's contents, and so the draw sequence, are those of
+/// a plain vector with find/erase (tests/reference/reference_stack_distance.hpp).
 class StackDistancePattern final : public PatternBase {
  public:
-  StackDistancePattern(const PatternSpec& spec, Addr base) : PatternBase(spec, base) {
-    stack_.reserve(std::min<std::uint64_t>(lines_, 4096));
-  }
+  StackDistancePattern(const PatternSpec& spec, Addr base)
+      : PatternBase(spec, base),
+        capacity_(static_cast<std::size_t>(std::min<std::uint64_t>(lines_, 4096))),
+        buf_(std::make_unique_for_overwrite<std::uint64_t[]>(capacity_)),
+        member_((lines_ + 63) / 64, 0) {}
 
   Addr next(util::Rng& rng) override {
-    if (!stack_.empty() && rng.next_bool(spec_.locality)) {
+    const std::size_t size = top_ - bottom_;
+    if (size != 0 && rng.next_bool(spec_.locality)) {
       // Geometric depth: depth k with P ~ (1-p)^k; mean controlled by the
       // stack fraction we want hot. Use p = 8/stack size for a hot head.
-      const double p = std::min(1.0, 8.0 / static_cast<double>(stack_.size()));
+      const double p = std::min(1.0, 8.0 / static_cast<double>(size));
       auto depth = static_cast<std::size_t>(rng.next_exponential(p));
-      depth = std::min(depth, stack_.size() - 1);
-      const std::uint64_t line = stack_[stack_.size() - 1 - depth];
-      touch(line);
+      depth = std::min(depth, size - 1);
+      const std::uint64_t line = buf_[top_ - 1 - depth];
+      move_to_top(top_ - 1 - depth);
       return addr_of_line(line);
     }
     const std::uint64_t line = frontier_;
     frontier_ = (frontier_ + 1) % lines_;
-    touch(line);
+    if (is_member(line)) {
+      // Still on the stack (small regions, or a hot line the frontier came
+      // back to): find it from the hot end, as the vector scan would.
+      std::size_t pos = top_ - 1;
+      while (buf_[pos] != line) {
+        SYM_DCHECK(pos > bottom_, "workload.pattern") << "member line missing from the stack";
+        --pos;
+      }
+      move_to_top(pos);
+    } else {
+      push(line);
+    }
     return addr_of_line(line);
   }
 
   void reset() override {
-    stack_.clear();
+    for (std::size_t i = bottom_; i < top_; ++i) set_member(buf_[i], false);
+    bottom_ = top_ = 0;
     frontier_ = 0;
   }
 
  private:
-  void touch(std::uint64_t line) {
-    // Move-to-top LRU stack, bounded at 512 entries. Searching from the hot
-    // end keeps the expected cost tiny (reuses are geometric in depth).
-    const auto rit = std::find(stack_.rbegin(), stack_.rend(), line);
-    if (rit != stack_.rend()) stack_.erase(std::next(rit).base());
-    stack_.push_back(line);
-    if (stack_.size() > 512) stack_.erase(stack_.begin());
+  static constexpr std::size_t kMaxDepth = 512;
+
+  [[nodiscard]] bool is_member(std::uint64_t line) const noexcept {
+    return (member_[line >> 6] >> (line & 63)) & 1u;
+  }
+  void set_member(std::uint64_t line, bool on) noexcept {
+    const std::uint64_t bit = std::uint64_t{1} << (line & 63);
+    member_[line >> 6] = on ? member_[line >> 6] | bit : member_[line >> 6] & ~bit;
   }
 
-  std::vector<std::uint64_t> stack_;
+  /// Move buf_[pos] to the top, shifting the entries above it down one.
+  void move_to_top(std::size_t pos) noexcept {
+    std::uint64_t* const stack = buf_.get();
+    const std::uint64_t line = stack[pos];
+    std::copy(stack + pos + 1, stack + top_, stack + pos);
+    stack[top_ - 1] = line;
+  }
+
+  /// Push a line that is not on the stack, dropping the bottom entry past
+  /// kMaxDepth.
+  void push(std::uint64_t line) noexcept {
+    if (top_ == capacity_) {
+      std::copy(buf_.get() + bottom_, buf_.get() + top_, buf_.get());
+      top_ -= bottom_;
+      bottom_ = 0;
+    }
+    buf_[top_++] = line;
+    set_member(line, true);
+    if (top_ - bottom_ > kMaxDepth) set_member(buf_[bottom_++], false);
+  }
+
+  std::size_t capacity_;
+  std::unique_ptr<std::uint64_t[]> buf_;
+  std::vector<std::uint64_t> member_;  ///< one bit per region line
+  std::size_t bottom_ = 0;
+  std::size_t top_ = 0;
   std::uint64_t frontier_ = 0;
 };
 

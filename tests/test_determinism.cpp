@@ -171,6 +171,106 @@ TEST(Determinism, GridRejectsDegenerateArguments) {
   EXPECT_THROW(run_sweep_grid(config, kTinyPool, 2, 1, {"default"}, 0), std::invalid_argument);
 }
 
+// --- the phase-task engine -------------------------------------------------
+
+TEST(Determinism, VmGridIsIdenticalForAnyWorkerCount) {
+  // The Fig 11 path: phase 1 on processes, every measurement in VMs.
+  PipelineConfig config = tiny_pipeline();
+  config.virtualized = true;
+  config.vm.dom0_region_bytes = 4 * 1024;
+  const SweepGridResult serial = plain_sweep(config, kTinyPool, 2);
+  ASSERT_FALSE(serial.outcomes.empty());
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    util::ThreadPool pool(workers);
+    const SweepGridResult threaded = plain_sweep(config, kTinyPool, 2, &pool);
+    EXPECT_EQ(threaded.outcomes, serial.outcomes) << workers << " workers";
+  }
+}
+
+/// Mixes of two 4-thread PARSEC programs: 8 threads on 2 cores, so a
+/// phase-1 pick usually falls outside the sampled reference set.
+PipelineConfig tiny_mt_pipeline() {
+  PipelineConfig c = tiny_pipeline();
+  c.scale.length_scale = 0.02;
+  c.emulation_cycles = 2'000'000;
+  return c;
+}
+
+const std::vector<std::string> kTinyParsecPool = {"blackscholes", "swaptions", "ferret",
+                                                  "canneal"};
+
+TEST(Determinism, MultithreadedGridIsIdenticalForAnyWorkerCount) {
+  // The Fig 12 path. Its chosen mappings land outside the reference set
+  // ({default} + 6 samples), so the engine's second measurement wave runs.
+  const PipelineConfig config = tiny_mt_pipeline();
+  const SweepGridResult serial =
+      run_sweep_grid(config, kTinyParsecPool, 2, 1, {config.allocator}, 1, true);
+  ASSERT_FALSE(serial.outcomes.empty());
+  std::size_t measured_after_vote = 0;
+  for (const auto& outcome : serial.outcomes) {
+    const bool chosen_is_extra = outcome.chosen + 1 == outcome.mappings.size() &&
+                                 outcome.mappings.size() > 1;
+    measured_after_vote += chosen_is_extra ? 1 : 0;
+  }
+  EXPECT_GT(measured_after_vote, 0u) << "no chosen mapping fell outside its reference set";
+
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    util::ThreadPool pool(workers);
+    const SweepGridResult threaded =
+        run_sweep_grid(config, kTinyParsecPool, 2, 1, {config.allocator}, 1, true, &pool);
+    EXPECT_EQ(threaded.outcomes, serial.outcomes) << workers << " workers";
+  }
+}
+
+TEST(Determinism, MixExperimentOnAPoolEqualsSerial) {
+  util::ThreadPool pool(3);
+  const PipelineConfig config = tiny_pipeline();
+  const std::vector<std::string> mix = {"mcf", "libquantum", "povray", "gobmk"};
+  EXPECT_EQ(run_mix_experiment(config, mix, &pool), run_mix_experiment(config, mix));
+
+  const PipelineConfig mt = tiny_mt_pipeline();
+  const std::vector<std::string> apps = {"blackscholes", "swaptions"};
+  EXPECT_EQ(run_mix_experiment_mt(mt, apps, 3, &pool), run_mix_experiment_mt(mt, apps, 3));
+}
+
+TEST(Determinism, PhaseTasksLandInTheirSlots) {
+  // Votes and measurements answer their own task, whatever the pool runs
+  // first: each slot equals the same task run alone.
+  const PipelineConfig config = tiny_pipeline();
+  const std::vector<std::string> mix = {"mcf", "povray"};
+  PipelineConfig other = config;
+  other.allocator = "weight-sort";
+  const std::vector<VoteTask> votes = {{config, mix}, {other, mix}};
+  std::vector<MeasureTask> measurements;
+  for (const auto& alloc : sched::enumerate_balanced_allocations(2, 2)) {
+    measurements.push_back({config, mix, alloc});
+  }
+  measurements.push_back({config, {"gobmk", "libquantum"}, measurements.front().allocation});
+
+  util::ThreadPool pool(2);
+  const PhaseResults results = run_phase_tasks(votes, measurements, &pool);
+  EXPECT_EQ(results.votes, run_phase_tasks(votes, {}).votes);
+  ASSERT_EQ(results.runs.size(), measurements.size());
+  for (std::size_t j = 0; j < measurements.size(); ++j) {
+    EXPECT_EQ(results.runs[j],
+              measure_mapping(measurements[j].config, measurements[j].mix,
+                              measurements[j].allocation))
+        << "measurement " << j;
+  }
+}
+
+TEST(Determinism, PhaseTaskErrorsReachTheCaller) {
+  const PipelineConfig config = tiny_pipeline();
+  const std::vector<std::string> mix = {"mcf", "povray"};
+  const sched::Allocation wrong_size{{0, 1, 0}, 2};
+  util::ThreadPool pool(2);
+  EXPECT_THROW(
+      (void)run_phase_tasks({{config, mix}}, {{config, mix, wrong_size}}, &pool),
+      std::invalid_argument);
+  EXPECT_THROW((void)run_mix_experiment(config, {"mcf", "nosuch"}, &pool),
+               std::invalid_argument);
+}
+
 // --- summarize_improvements property tests --------------------------------
 
 /// Independent reference implementation: for one benchmark, walk every

@@ -124,10 +124,9 @@ TEST(EdgeCases, ProfilesWithoutSamplesAreZeroNotGarbage) {
 
 TEST(EdgeCases, HypervisorWithSingleGuestOnly) {
   vm::VmConfig cfg;
-  cfg.machine = micro_machine();
   cfg.dom0_background = false;
   cfg.dom0_region_bytes = 4 * 1024;
-  vm::Hypervisor hv(cfg);
+  vm::Hypervisor hv(micro_machine(), cfg);
   const auto dom = hv.create_domain(one_phase("guest", 3, 10'000));
   EXPECT_TRUE(hv.run_to_all_complete());
   EXPECT_GT(hv.domain_user_cycles(dom), 0u);

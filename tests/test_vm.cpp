@@ -8,12 +8,16 @@
 namespace symbiosis::vm {
 namespace {
 
+machine::MachineConfig tiny_machine() {
+  machine::MachineConfig m = machine::core2duo_config();
+  m.hierarchy.l1 = {1024, 2, 64};
+  m.hierarchy.l2 = {16 * 1024, 4, 64};
+  m.quantum_cycles = 50'000;
+  return m;
+}
+
 VmConfig tiny_vm_config() {
   VmConfig c;
-  c.machine.hierarchy.num_cores = 2;
-  c.machine.hierarchy.l1 = {1024, 2, 64};
-  c.machine.hierarchy.l2 = {16 * 1024, 4, 64};
-  c.machine.quantum_cycles = 50'000;
   c.vm_switch_cycles = 5'000;
   c.switch_pollution_lines = 32;
   c.dom0_region_bytes = 4 * 1024;
@@ -36,7 +40,7 @@ std::unique_ptr<workload::Workload> guest_workload(std::size_t pid,
 }
 
 TEST(Hypervisor, Dom0IsBackground) {
-  Hypervisor hv(tiny_vm_config());
+  Hypervisor hv(tiny_machine(), tiny_vm_config());
   ASSERT_EQ(hv.domain_count(), 1u);
   EXPECT_EQ(hv.domain_name(0), "Domain-0");
   const auto vcpu = hv.vcpus_of(0).front();
@@ -46,12 +50,12 @@ TEST(Hypervisor, Dom0IsBackground) {
 TEST(Hypervisor, Dom0CanBeDisabled) {
   VmConfig cfg = tiny_vm_config();
   cfg.dom0_background = false;
-  Hypervisor hv(cfg);
+  Hypervisor hv(tiny_machine(), cfg);
   EXPECT_EQ(hv.domain_count(), 0u);
 }
 
 TEST(Hypervisor, GuestsRunToCompletion) {
-  Hypervisor hv(tiny_vm_config());
+  Hypervisor hv(tiny_machine(), tiny_vm_config());
   const DomainId a = hv.create_domain(guest_workload(0));
   const DomainId b = hv.create_domain(guest_workload(1));
   EXPECT_TRUE(hv.run_to_all_complete());
@@ -61,7 +65,7 @@ TEST(Hypervisor, GuestsRunToCompletion) {
 }
 
 TEST(Hypervisor, DomainAffinityPinsVcpus) {
-  Hypervisor hv(tiny_vm_config());
+  Hypervisor hv(tiny_machine(), tiny_vm_config());
   const DomainId dom = hv.create_domain(guest_workload(0));
   hv.create_domain(guest_workload(1), 1);  // keep core 1 busy
   hv.set_domain_affinity(dom, 1);
@@ -71,7 +75,7 @@ TEST(Hypervisor, DomainAffinityPinsVcpus) {
 }
 
 TEST(Hypervisor, MultiVcpuDomainSharesPid) {
-  Hypervisor hv(tiny_vm_config());
+  Hypervisor hv(tiny_machine(), tiny_vm_config());
   std::vector<std::unique_ptr<workload::TaskStream>> vcpus;
   vcpus.push_back(guest_workload(0));
   vcpus.push_back(guest_workload(1));
@@ -84,13 +88,12 @@ TEST(Hypervisor, MultiVcpuDomainSharesPid) {
 TEST(Hypervisor, VirtualizationCostsWallClock) {
   // §5.1.2: the same workload takes longer under the hypervisor — world
   // switches, nested-TLB penalty, Dom0 pollution.
-  machine::MachineConfig native_cfg = tiny_vm_config().machine;
-  machine::Machine native(native_cfg);
+  machine::Machine native(tiny_machine());
   native.add_task(guest_workload(0), 0);
   native.add_task(guest_workload(1), 0);
   ASSERT_TRUE(native.run_to_all_complete());
 
-  Hypervisor hv(tiny_vm_config());
+  Hypervisor hv(tiny_machine(), tiny_vm_config());
   const DomainId a = hv.create_domain(guest_workload(0), 0);
   const DomainId b = hv.create_domain(guest_workload(1), 0);
   ASSERT_TRUE(hv.run_to_all_complete());
@@ -101,7 +104,7 @@ TEST(Hypervisor, VirtualizationCostsWallClock) {
 }
 
 TEST(Hypervisor, EmptyDomainRejected) {
-  Hypervisor hv(tiny_vm_config());
+  Hypervisor hv(tiny_machine(), tiny_vm_config());
   std::vector<std::unique_ptr<workload::TaskStream>> none;
   EXPECT_THROW(hv.create_domain(std::move(none)), std::invalid_argument);
 }
