@@ -14,7 +14,7 @@ int main() {
   const core::PipelineConfig config = bench::default_pipeline();
   const std::vector<std::string> mix = {"povray", "gobmk", "libquantum", "hmmer"};
   util::ThreadPool workers;
-  const core::MixOutcome outcome = core::run_mix_experiment(config, mix, &workers);
+  const core::MixOutcome outcome = core::run_experiment_cells({{config, mix}}, &workers).front();
 
   util::TextTable table;
   std::vector<std::string> header = {"benchmark"};

@@ -16,13 +16,11 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/symbiotic_scheduler.hpp"
 #include "machine/config.hpp"
-#include "machine/machine.hpp"
 #include "sig/filter_unit.hpp"
 #include "util/cli.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
-#include "workload/benchmark_model.hpp"
 
 int main(int argc, char** argv) {
   using namespace symbiosis;
@@ -51,12 +49,8 @@ int main(int argc, char** argv) {
   // scheduler (with migration) spreads them over the clusters.
   workload::ScaleConfig ws;
   ws.length_scale = scale;
-  util::Rng rng(seed);
   const auto& pool = workload::spec2006_pool();
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    m.add_task(workload::make_spec_workload(pool[i], machine::address_space_base(i),
-                                            rng.split(i + 1), ws));
-  }
+  (void)core::add_mix_tasks(m, pool, ws, seed);
   std::printf("tasks: %zu (full SPEC pool) on %zu cores, running %llu cycles\n\n", pool.size(),
               m.hierarchy().num_cores(), static_cast<unsigned long long>(cycles));
   m.run_for(cycles);

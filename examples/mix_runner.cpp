@@ -1,9 +1,9 @@
 // mix_runner — a general CLI over the experiment harness: run any mix under
 // any machine/allocator configuration, print the full mapping matrix, and
-// optionally dump raw results as CSV for external plotting.
+// optionally write the JSON run report.
 //
 //   ./mix_runner --mix mcf,omnetpp,libquantum,povray --cores 2
-//                --allocator weight-sort --csv /tmp/results.csv
+//                --allocator weight-sort --report /tmp/report.json
 //   ./mix_runner --mix mcf,omnetpp,gcc,bzip2,libquantum,povray,gobmk,hmmer
 //                --cores 4 --l2-kb 512
 #include <cstdio>
@@ -17,7 +17,6 @@
 #include "core/report.hpp"
 #include "obs/stopwatch.hpp"
 #include "util/cli.hpp"
-#include "util/csv.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -36,7 +35,6 @@ int run_cli(int argc, char** argv) {
   auto& scale = args.add_double("scale", "benchmark length multiplier", 1.0);
   auto& seed = args.add_u64("seed", "RNG seed", 42);
   auto& vm = args.add_flag("vm", "measure inside VMs on the hypervisor");
-  auto& csv_path = args.add_string("csv", "CSV output path ('' = none)", "");
   auto& report_path = args.add_string("report", "JSON run-report output path ('' = none)", "");
   if (!args.parse(argc, argv)) return 1;
 
@@ -70,8 +68,8 @@ int run_cli(int argc, char** argv) {
   obs::PhaseTimings timings;
   core::MixOutcome outcome;
   {
-    obs::PhaseTimings::Scoped phase(timings, "run_mix_experiment");
-    outcome = core::run_mix_experiment(config, mix);
+    obs::PhaseTimings::Scoped phase(timings, "run_experiment_cells");
+    outcome = core::run_experiment_cells({{config, mix}}).front();
   }
 
   util::TextTable table;
@@ -96,25 +94,6 @@ int run_cli(int argc, char** argv) {
                           util::TextTable::pct(outcome.oracle_improvement(i))});
   }
   improvements.print();
-
-  if (!csv_path.empty()) {
-    util::CsvWriter csv(csv_path);
-    std::vector<std::string> head = {"benchmark"};
-    for (const auto& run : outcome.mappings) head.push_back(run.allocation.key());
-    head.push_back("improvement_vs_worst");
-    head.push_back("oracle_vs_worst");
-    csv.row(head);
-    for (std::size_t i = 0; i < mix.size(); ++i) {
-      std::vector<std::string> row = {mix[i]};
-      for (const auto& run : outcome.mappings) {
-        row.push_back(std::to_string(run.user_cycles[i]));
-      }
-      row.push_back(std::to_string(outcome.improvement_vs_worst(i)));
-      row.push_back(std::to_string(outcome.oracle_improvement(i)));
-      csv.row(row);
-    }
-    std::printf("\nwrote %s\n", csv_path.c_str());
-  }
 
   if (!report_path.empty()) {
     core::write_report_file(core::build_mix_report(config, outcome, timings), report_path);

@@ -11,9 +11,8 @@
 #include <cstdio>
 #include <sstream>
 
-#include "core/profile.hpp"
-#include "core/symbiotic_scheduler.hpp"
-#include "sched/multithread.hpp"
+#include "core/experiment.hpp"
+#include "sched/policy.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/parsec_model.hpp"
@@ -43,8 +42,7 @@ int main(int argc, char** argv) {
   config.seed = seed;
   config.measure_max_cycles = 4'000'000'000ull;
 
-  core::SymbioticScheduler pipeline(config);
-  const sched::Allocation chosen = pipeline.choose_allocation_mt(apps);
+  const sched::Allocation chosen = core::run_vote({config, apps, /*multithreaded=*/true}).chosen;
 
   std::printf("thread -> core map (%s + %s, 4 threads each):\n", apps[0].c_str(),
               apps[1].c_str());
@@ -58,8 +56,10 @@ int main(int argc, char** argv) {
   // Measure chosen vs the default round-robin placement.
   sched::DefaultAllocator def;
   std::vector<sched::TaskProfile> dummy(chosen.group_of.size());
-  const core::MappingRun base = core::measure_mapping_mt(config, apps, def.allocate(dummy, 2));
-  const core::MappingRun ours = core::measure_mapping_mt(config, apps, chosen);
+  const core::MappingRun base =
+      core::run_measurement({config, apps, def.allocate(dummy, 2), /*multithreaded=*/true});
+  const core::MappingRun ours =
+      core::run_measurement({config, apps, chosen, /*multithreaded=*/true});
 
   util::TextTable result({"process", "default (Mcyc)", "two-phase (Mcyc)", "gain"});
   for (std::size_t i = 0; i < apps.size(); ++i) {

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
               mix[2].c_str(), mix[3].c_str());
   std::printf("allocator: %s\n\n", config.allocator.c_str());
 
-  const core::MixOutcome outcome = core::run_mix_experiment(config, mix);
+  const core::MixOutcome outcome = core::run_experiment_cells({{config, mix}}).front();
 
   // Table 1 analogue: user time (megacycles) per benchmark per mapping.
   util::TextTable table;

@@ -9,11 +9,10 @@
 // per-job slowdown versus an unloaded machine.
 //
 //   ./server_consolidation [--seed 7] [--scale 0.5]
+#include <algorithm>
 #include <cstdio>
-#include <map>
 
-#include "core/profile.hpp"
-#include "core/symbiotic_scheduler.hpp"
+#include "core/online.hpp"
 #include "machine/config.hpp"
 #include "sched/policy.hpp"
 #include "util/cli.hpp"
@@ -38,15 +37,9 @@ int main(int argc, char** argv) {
   config.seed = seed;
   config.measure_max_cycles = 4'000'000'000ull;
 
-  // Unloaded baselines: each job alone on the quad-core.
-  std::map<std::string, double> solo;
-  for (const auto& job : jobs) {
-    machine::Machine m(config.machine);
-    const auto id = m.add_task(workload::make_spec_workload(
-        job, machine::address_space_base(0), util::Rng{seed}.split(1), config.scale));
-    m.run_to_all_complete(0);
-    solo[job] = static_cast<double>(m.task(id).first_completion_user_cycles);
-  }
+  // Unloaded baselines: each job alone on the quad-core, on the stream it
+  // runs in the loaded machine.
+  const std::vector<std::uint64_t> solo = core::solo_user_cycles(config, jobs);
 
   util::TextTable table({"policy", "placement", "wall (Mcyc)", "mean slowdown vs solo",
                          "worst slowdown"});
@@ -66,7 +59,8 @@ int main(int argc, char** argv) {
 
     double slowdown_sum = 0.0, worst = 0.0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const double slowdown = static_cast<double>(run.user_cycles[i]) / solo[jobs[i]] - 1.0;
+      const double slowdown =
+          static_cast<double>(run.user_cycles[i]) / static_cast<double>(solo[i]) - 1.0;
       slowdown_sum += slowdown;
       worst = std::max(worst, slowdown);
     }

@@ -75,11 +75,12 @@ int cmd_roundtrip(int argc, char** argv) {
 
   // 2. Run the replayed trace twice through identical machines; both must
   //    produce identical timing and signatures.
-  const workload::SymtSource source(
-      std::make_shared<const workload::SymtTrace>(workload::SymtTrace::open(out)), benchmark);
+  const auto trace =
+      std::make_shared<const workload::SymtTrace>(workload::SymtTrace::open(out));
   auto run = [&] {
     machine::Machine m(machine::core2duo_config());
-    const auto id = m.add_process(source, 0).front();
+    const auto id =
+        m.add_task(std::make_unique<workload::SymtTaskStream>(trace, 0, benchmark + ".t0"), 0);
     m.run_to_all_complete(0);
     const auto& t = m.task(id);
     return std::tuple{t.first_completion_user_cycles, t.counters().l2_misses,

@@ -46,8 +46,9 @@ int main(int argc, char** argv) {
   // Also measure natively for the §5.1.2 comparison.
   core::PipelineConfig native = config;
   native.virtualized = false;
-  const core::MixOutcome vm_outcome = core::run_mix_experiment(config, mix);
-  const core::MixOutcome native_outcome = core::run_mix_experiment(native, mix);
+  const auto outcomes = core::run_experiment_cells({{config, mix}, {native, mix}});
+  const core::MixOutcome& vm_outcome = outcomes[0];
+  const core::MixOutcome& native_outcome = outcomes[1];
 
   util::TextTable table({"VM", "chosen pinning gain (VM)", "chosen gain (native)",
                          "virtualization overhead"});

@@ -39,13 +39,13 @@ Checkers
             through a parameter that traces back to config/CLI. Rng members
             declared without an initializer must be seeded in a mem-init
             list. Inside lambdas handed to ThreadPool entry points
-            (parallel_for, parallel_for_sharded, submit) a by-reference
-            captured Rng may only be .split() -- mutating a shared generator
-            across task boundaries makes the draw sequence schedule-
-            dependent. Generators declared inside the task body are fine,
-            including ones assigned from a .split() substream without a
-            spelled-out Rng type (`auto rng = base.split(i)` -- the
-            run_sweep_grid sharding shape).
+            (parallel_for, submit) a by-reference captured Rng may only be
+            .split() -- mutating a shared generator across task boundaries
+            makes the draw sequence schedule-dependent. Generators declared
+            inside the task body are fine, including ones assigned from a
+            .split() substream without a spelled-out Rng type
+            (`auto rng = base.split(i)` -- the run_sweep_grid seeding
+            shape).
   waiver    waiver hygiene: malformed `// symdet:` comments, waivers that
             suppress nothing, inline waivers missing from the committed
             registry, and registry entries matching no inline waiver.
@@ -121,7 +121,7 @@ ENTROPY_RULES: list[tuple[str, re.Pattern[str], str]] = [
      "hashing a pointer leaks address-space layout into values"),
 ]
 
-THREADPOOL_ENTRY_RE = re.compile(r"\b(?:parallel_for(?:_sharded)?|submit)\s*\(")
+THREADPOOL_ENTRY_RE = re.compile(r"\b(?:parallel_for|submit)\s*\(")
 RNG_MUTATION_METHODS = ("next_below", "next_range", "next_double", "next_bool",
                         "next_normal", "next_exponential", "shuffle", "reseed")
 INT_LITERAL_RE = re.compile(r"^(?:0[xX][0-9a-fA-F']+|\d[\d']*)(?:[uU]?[lL]{0,2}|[lL]{1,2}[uU]?)$")

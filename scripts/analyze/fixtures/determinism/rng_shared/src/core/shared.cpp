@@ -5,8 +5,8 @@ namespace fixture {
 void sweep(util::ThreadPool& pool, std::uint64_t seed) {
   util::Rng rng(seed);
   std::vector<double> out(64, 0.0);
-  pool.parallel_for_sharded(0, out.size(), [&](std::size_t i) {
+  pool.parallel_for(0, out.size(), [&](std::size_t i) {
     out[i] = rng.next_double();  // shared generator across tasks: flagged
-  }, 8);
+  });
 }
 }  // namespace fixture

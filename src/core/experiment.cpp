@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
+#include "core/profile.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "sched/policy.hpp"
 #include "util/log.hpp"
 #include "workload/parsec_model.hpp"
@@ -39,19 +42,44 @@ double MixOutcome::oracle_improvement(std::size_t i) const {
 
 namespace {
 
-PhaseVote run_vote(const VoteTask& task) {
-  SymbioticScheduler pipeline(task.config);
-  PhaseVote vote;
-  vote.chosen = task.multithreaded ? pipeline.choose_allocation_mt(task.mix)
-                                   : pipeline.choose_allocation(task.mix);
-  vote.votes = pipeline.vote_table();
-  return vote;
+/// Random balanced mappings a multithreaded cell samples for its reference
+/// set (duplicates are dropped).
+constexpr std::size_t kSampledMappings = 6;
+
+/// Phase 1 needs at least two cores to have a mapping to choose.
+void require_two_cores(const PipelineConfig& config) {
+  if (config.machine.hierarchy.num_cores < 2) {
+    throw std::invalid_argument("phase 1: need at least 2 cores");
+  }
 }
 
-MappingRun run_measurement(const MeasureTask& task) {
-  if (task.multithreaded) return measure_mapping_mt(task.config, task.mix, task.allocation);
-  return task.config.virtualized ? measure_mapping_vm(task.config, task.mix, task.allocation)
-                                 : measure_mapping(task.config, task.mix, task.allocation);
+/// The paper measures PARSEC threads natively (Fig 12), never in VMs.
+void reject_virtualized_threads(const PipelineConfig& config, bool multithreaded) {
+  if (multithreaded && config.virtualized) {
+    throw std::invalid_argument(
+        "multithreaded with config.virtualized: PARSEC threads are measured natively");
+  }
+}
+
+/// The phase-2 machine: config.machine with the signature unit off. Nothing
+/// in phase 2 reads a signature, and the unit never touches simulated time
+/// (pinned by tests/test_signature_invariance.cpp), so the measured run is
+/// the same with or without it.
+machine::MachineConfig measurement_machine(const PipelineConfig& config) {
+  machine::MachineConfig mc = config.machine;
+  mc.hierarchy.signature.enabled = false;
+  return mc;
+}
+
+/// Attach per-level cache counters (schema v2). Degenerate two-level
+/// machines skip this so their v1 report stays byte-identical to the
+/// pre-graph implementation.
+void collect_level_stats(const machine::Machine& m, MappingRun& run) {
+  if (m.config().hierarchy.degenerate()) return;
+  const cachesim::Hierarchy& h = m.hierarchy();
+  run.levels.push_back({"l1", h.level_stats("l1")});
+  run.levels.push_back({"l2", h.level_stats("l2")});
+  if (h.has_l3()) run.levels.push_back({"l3", h.level_stats("l3")});
 }
 
 /// A cell's reference mappings: every balanced mapping, or for a
@@ -70,7 +98,7 @@ std::vector<sched::Allocation> reference_mappings(const ExperimentCell& cell) {
   sched::DefaultAllocator default_alloc;
   refs.push_back(default_alloc.allocate(dummy, cores));
   std::set<std::string> seen{refs.front().key()};
-  for (std::size_t s = 0; s < cell.sampled_mappings; ++s) {
+  for (std::size_t s = 0; s < kSampledMappings; ++s) {
     sched::RandomAllocator random_alloc(cell.config.seed + 7919 * (s + 1));
     sched::Allocation alloc = random_alloc.allocate(dummy, cores);
     if (seen.insert(alloc.key()).second) refs.push_back(std::move(alloc));
@@ -79,6 +107,97 @@ std::vector<sched::Allocation> reference_mappings(const ExperimentCell& cell) {
 }
 
 }  // namespace
+
+PhaseVote run_vote(const VoteTask& task) {
+  const PipelineConfig& config = task.config;
+  require_two_cores(config);
+  machine::Machine m(config.machine);
+  for (auto& group : build_mix(task.mix, config.scale, config.seed, task.multithreaded)) {
+    (void)m.add_process(std::move(group));
+  }
+  auto allocator =
+      sched::make_allocator(task.multithreaded ? "multithread" : config.allocator, config.seed);
+  const std::size_t cores = config.machine.hierarchy.num_cores;
+  const auto ids = profiled_task_ids(m);
+
+  PhaseVote vote;
+  std::map<std::string, sched::Allocation> voted;
+  m.set_periodic_hook(config.allocator_period_cycles, [&](machine::Machine& mm) {
+    auto profiles = collect_profiles(mm);
+    // Every task must have been context-switched out at least once this
+    // window, or its signature is stale noise; skip the vote if not.
+    const bool ready = std::all_of(profiles.begin(), profiles.end(), [&](const auto& p) {
+      return mm.task(ids[p.task_index]).signature().samples() > 0;
+    });
+    if (!ready) return;
+    const sched::Allocation alloc = allocator->allocate(profiles, cores);
+    const std::string key = alloc.key();
+    obs::counter("core.phase1.votes").add(1);
+    ++vote.votes[key];
+    voted.emplace(key, alloc.canonical());
+    // §4.1: during emulation the allocator only VOTES — tasks keep running
+    // under default OS scheduling (with load-balancer migration), so the
+    // signatures sample each process against varied co-runners instead of
+    // freezing the initial pairing. The majority pick is applied in
+    // phase 2 on the "real" machine.
+    clear_signature_windows(mm);
+  });
+
+  // Fixed emulation window; finished benchmarks restart and keep feeding
+  // signatures (§4.1 fast-forwards then emulates a fixed instruction count).
+  SYM_RECORD((obs::PhaseEvent{m.now(), "phase1.emulate"}));
+  m.run_for(config.emulation_cycles);
+  SYM_RECORD((obs::PhaseEvent{m.now(), "phase1.vote"}));
+
+  if (vote.votes.empty()) {
+    SYMBIOSIS_LOG_WARN("phase 1 cast no votes (emulation too short?); using default mapping");
+    sched::DefaultAllocator fallback;
+    vote.chosen = fallback.allocate(collect_profiles(m), cores);
+    return vote;
+  }
+  const auto winner = std::max_element(
+      vote.votes.begin(), vote.votes.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
+  vote.chosen = voted.at(winner->first);
+  return vote;
+}
+
+MappingRun run_measurement(const MeasureTask& task) {
+  const PipelineConfig& config = task.config;
+  reject_virtualized_threads(config, task.multithreaded);
+  // A VM is one domain per program on the hypervisor's machine.
+  std::optional<vm::Hypervisor> hv;
+  std::optional<machine::Machine> native;
+  if (config.virtualized) {
+    hv.emplace(measurement_machine(config), config.vm);
+  } else {
+    native.emplace(measurement_machine(config));
+  }
+  machine::Machine& m = hv ? hv->machine() : *native;
+  std::vector<std::vector<machine::TaskId>> programs;
+  std::vector<machine::TaskId> tasks;
+  for (auto& group : build_mix(task.mix, config.scale, config.seed, task.multithreaded)) {
+    programs.push_back(hv ? hv->vcpus_of(hv->create_domain(std::move(group)))
+                          : m.add_process(std::move(group)));
+    tasks.insert(tasks.end(), programs.back().begin(), programs.back().end());
+  }
+  apply_allocation(m, tasks, task.allocation);
+  const bool completed = hv ? hv->run_to_all_complete(config.measure_max_cycles)
+                            : m.run_to_all_complete(config.measure_max_cycles);
+
+  MappingRun run;
+  run.allocation = task.allocation;
+  run.completed = completed;
+  run.wall_cycles = m.now();
+  for (std::size_t i = 0; i < task.mix.size(); ++i) {
+    std::uint64_t user = 0;
+    for (const auto id : programs[i]) user += m.task(id).first_completion_user_cycles;
+    run.names.push_back(task.mix[i]);
+    run.user_cycles.push_back(user);
+  }
+  collect_level_stats(m, run);
+  return run;
+}
 
 PhaseResults run_phase_tasks(const std::vector<VoteTask>& votes,
                              const std::vector<MeasureTask>& measurements,
@@ -106,9 +225,12 @@ PhaseResults run_phase_tasks(const std::vector<VoteTask>& votes,
 
 std::vector<MixOutcome> run_experiment_cells(const std::vector<ExperimentCell>& cells,
                                              util::ThreadPool* pool) {
-  // A config phase 1 rejects is reported as phase 1 reports it, before any
-  // mapping is enumerated.
-  for (const auto& cell : cells) (void)SymbioticScheduler(cell.config);
+  // A config the phases reject is reported as they report it, before any
+  // mapping is enumerated or any task runs.
+  for (const auto& cell : cells) {
+    require_two_cores(cell.config);
+    reject_virtualized_threads(cell.config, cell.multithreaded);
+  }
 
   // First wave: one vote per cell, then each cell's reference mappings in
   // order; first_ref[c] is where cell c's runs start.
@@ -156,17 +278,6 @@ std::vector<MixOutcome> run_experiment_cells(const std::vector<ExperimentCell>& 
     outcomes[extra_cell[e]].mappings.push_back(std::move(second.runs[e]));
   }
   return outcomes;
-}
-
-MixOutcome run_mix_experiment(const PipelineConfig& config, const std::vector<std::string>& mix,
-                              util::ThreadPool* pool) {
-  return std::move(run_experiment_cells({ExperimentCell{config, mix}}, pool).front());
-}
-
-MixOutcome run_mix_experiment_mt(const PipelineConfig& config, const std::vector<std::string>& mix,
-                                 std::size_t sampled_mappings, util::ThreadPool* pool) {
-  return std::move(
-      run_experiment_cells({ExperimentCell{config, mix, true, sampled_mappings}}, pool).front());
 }
 
 std::vector<std::vector<std::string>> sample_mixes(const std::vector<std::string>& pool,

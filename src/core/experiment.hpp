@@ -60,13 +60,29 @@ struct PhaseVote {
 };
 
 /// One phase-2 measurement: @p mix pinned per @p allocation, natively, in
-/// VMs (config.virtualized) or as PARSEC threads (@p multithreaded).
+/// VMs (config.virtualized) or as PARSEC threads (@p multithreaded). The
+/// allocation is over processes, or for PARSEC over all threads in
+/// process-major order.
 struct MeasureTask {
   PipelineConfig config;
   std::vector<std::string> mix;
   sched::Allocation allocation;
   bool multithreaded = false;
 };
+
+/// Phase 1: emulate the mix on the signature-equipped machine; every
+/// allocator period the allocator (for PARSEC the §3.3.4 two-phase
+/// algorithm, whatever config.allocator says) votes on the per-task
+/// signatures while the tasks keep their default scheduling. The majority
+/// allocation wins. Fewer than two cores throw std::invalid_argument.
+[[nodiscard]] PhaseVote run_vote(const VoteTask& task);
+
+/// Phase 2: run the mix pinned to completion with the signature unit off,
+/// one user time per program (a PARSEC program's is the sum over its
+/// threads, a VM's over its vcpus). PARSEC threads run natively only (the
+/// paper measures Fig 12 natively); a virtualized multithreaded task throws
+/// std::invalid_argument.
+[[nodiscard]] MappingRun run_measurement(const MeasureTask& task);
 
 /// Results slot for slot: votes[i] answers the i-th VoteTask, runs[j] the
 /// j-th MeasureTask.
@@ -84,40 +100,28 @@ struct PhaseResults {
                                            util::ThreadPool* pool = nullptr);
 
 /// One experiment cell: phase 1 of @p mix under @p config, then its
-/// reference mappings — every balanced mapping, or for @p multithreaded
-/// mixes {default, @p sampled_mappings random balanced mappings} — and the
-/// chosen mapping when it falls outside that set.
+/// reference mappings, and the chosen mapping when it falls outside them.
+/// A single-threaded cell's references are every balanced mapping; with
+/// config.virtualized they are measured in VMs (phase 1 stays
+/// process-based, as in the paper — Simics could not run Xen). Thread-level
+/// mappings cannot be enumerated (C(16,8) for four 4-thread apps), so a
+/// @p multithreaded cell's references are the default mapping plus up to
+/// six distinct random balanced ones, and its improvements are relative to
+/// the worst of that set (DESIGN.md).
 struct ExperimentCell {
   PipelineConfig config;
   std::vector<std::string> mix;
   bool multithreaded = false;
-  std::size_t sampled_mappings = 6;
 };
 
 /// Run @p cells on the engine: every phase 1 and every reference mapping
 /// is one task, then, once every vote is in, one task per chosen mapping
-/// outside its cell's reference set. outcomes[i] is cells[i]'s. No work is
-/// shared between cells.
+/// outside its cell's reference set. outcomes[i] is cells[i]'s, whatever
+/// @p pool is. No work is shared between cells. A cell the phases reject
+/// (fewer than two cores; multithreaded with config.virtualized) throws
+/// std::invalid_argument before any task runs.
 [[nodiscard]] std::vector<MixOutcome> run_experiment_cells(
     const std::vector<ExperimentCell>& cells, util::ThreadPool* pool = nullptr);
-
-/// Run the full experiment for one single-threaded mix. When
-/// config.virtualized is set, phase 2 measures inside VMs (phase 1 stays
-/// process-based, as in the paper — Simics could not run Xen). @p pool
-/// spreads the cell's phase runs; the outcome does not depend on it.
-[[nodiscard]] MixOutcome run_mix_experiment(const PipelineConfig& config,
-                                            const std::vector<std::string>& mix,
-                                            util::ThreadPool* pool = nullptr);
-
-/// Multi-threaded variant: thread-level mappings cannot be enumerated
-/// exhaustively (C(16,8) for four 4-thread apps), so the reference set is
-/// {default, chosen, @p sampled_mappings random balanced mappings} and
-/// improvements are relative to the worst of that set. This substitution
-/// is recorded in DESIGN.md.
-[[nodiscard]] MixOutcome run_mix_experiment_mt(const PipelineConfig& config,
-                                               const std::vector<std::string>& mix,
-                                               std::size_t sampled_mappings = 6,
-                                               util::ThreadPool* pool = nullptr);
 
 /// Deterministic sample of distinct mixes of @p mix_size from @p pool such
 /// that every pool entry appears in at least @p per_benchmark mixes.

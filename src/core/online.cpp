@@ -86,14 +86,11 @@ std::vector<std::uint64_t> solo_user_cycles(const PipelineConfig& config,
                                             const std::vector<std::string>& mix) {
   std::vector<std::uint64_t> solo;
   solo.reserve(mix.size());
-  for (std::size_t i = 0; i < mix.size(); ++i) {
+  // Program i runs alone on the stream and address space it has in the
+  // loaded run.
+  for (auto& group : build_mix(mix, config.scale, config.seed)) {
     machine::Machine m(config.machine);
-    util::Rng rng(config.seed);
-    // Reproduce add_mix_tasks' per-position stream so the solo run uses the
-    // same generator state as the loaded run.
-    auto workload = workload::make_spec_workload(mix[i], machine::address_space_base(i),
-                                                 rng.split(i + 1), config.scale);
-    const auto id = m.add_task(std::move(workload));
+    const auto id = m.add_process(std::move(group)).front();
     m.run_to_all_complete(config.measure_max_cycles);
     solo.push_back(m.task(id).first_completion_user_cycles);
   }

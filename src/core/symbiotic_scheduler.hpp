@@ -10,13 +10,17 @@
 // and report per-benchmark user times. Phase 2 reads no signature, so its
 // machines run with the signature unit off.
 //
-// This header is the library's primary entry point; see examples/ for
-// usage and core/experiment.hpp for the all-mappings measurement harness.
+// This header holds the pipeline config, the one mix builder and the
+// per-call forms of the two phases. Each phase is one call in
+// core/experiment.hpp (run_vote, run_measurement), for SPEC processes, VMs
+// and PARSEC threads alike; the engine there runs them as pool tasks. See
+// examples/ for usage.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "machine/machine.hpp"
@@ -76,52 +80,42 @@ struct MappingRun {
   [[nodiscard]] bool operator==(const MappingRun&) const = default;
 };
 
-/// The two-phase symbiotic scheduling pipeline.
+/// Phase 1 as an object that keeps the vote table beside the pick:
+/// choose_allocation answers a VoteTask (core/experiment.hpp).
 class SymbioticScheduler {
  public:
-  explicit SymbioticScheduler(PipelineConfig config);
+  explicit SymbioticScheduler(PipelineConfig config) : config_(std::move(config)) {}
 
   /// Phase 1 for a single-threaded mix (names from spec2006_pool()).
   /// Returns the majority allocation of tasks onto cores.
   [[nodiscard]] sched::Allocation choose_allocation(const std::vector<std::string>& mix);
 
-  /// Phase 1 for a multi-threaded (PARSEC) mix; the allocation is over ALL
-  /// threads, in process-major order, computed by the §3.3.4 two-phase
-  /// algorithm regardless of config.allocator.
-  [[nodiscard]] sched::Allocation choose_allocation_mt(const std::vector<std::string>& mix);
-
-  /// Vote table of the last choose_allocation* call: canonical key → votes.
+  /// Vote table of the last choose_allocation call: canonical key → votes.
   [[nodiscard]] const std::map<std::string, int>& vote_table() const noexcept { return votes_; }
 
-  [[nodiscard]] const PipelineConfig& config() const noexcept { return config_; }
-
  private:
-  [[nodiscard]] sched::Allocation run_phase1(machine::Machine& m, const std::string& allocator);
-
   PipelineConfig config_;
   std::map<std::string, int> votes_;
-  std::map<std::string, sched::Allocation> vote_allocations_;
 };
 
-/// Phase 2, native: run @p mix pinned per @p allocation to completion.
+/// Phase 2 for a single-threaded mix: run @p mix pinned per @p allocation
+/// to completion, natively or in VMs (config.virtualized). Answers a
+/// MeasureTask (core/experiment.hpp).
 [[nodiscard]] MappingRun measure_mapping(const PipelineConfig& config,
                                          const std::vector<std::string>& mix,
                                          const sched::Allocation& allocation);
 
-/// Phase 2, virtualized: each benchmark in its own VM, vcpus pinned per
-/// @p allocation.
-[[nodiscard]] MappingRun measure_mapping_vm(const PipelineConfig& config,
-                                            const std::vector<std::string>& mix,
-                                            const sched::Allocation& allocation);
+/// The one mix builder: a stream group per program of @p mix, in mix order.
+/// Program i runs at machine::address_space_base(i) on Rng(seed).split(i + 1)
+/// — one stream for a SPEC program, or with @p multithreaded one stream per
+/// thread of a PARSEC program (whose threads split that stream again).
+[[nodiscard]] std::vector<workload::StreamGroup> build_mix(const std::vector<std::string>& mix,
+                                                           const workload::ScaleConfig& scale,
+                                                           std::uint64_t seed,
+                                                           bool multithreaded = false);
 
-/// Phase 2, multi-threaded: @p allocation is over threads (process-major);
-/// user_cycles aggregates to the per-PROCESS user time the paper reports.
-[[nodiscard]] MappingRun measure_mapping_mt(const PipelineConfig& config,
-                                            const std::vector<std::string>& mix,
-                                            const sched::Allocation& allocation);
-
-/// Build the machine + workloads for a single-threaded mix (shared by the
-/// pipeline and the Fig 2/3 benches). Task i runs mix[i].
+/// Admit a single-threaded mix to @p m (build_mix, one process per
+/// program). Task i runs mix[i].
 [[nodiscard]] std::vector<machine::TaskId> add_mix_tasks(machine::Machine& m,
                                                          const std::vector<std::string>& mix,
                                                          const workload::ScaleConfig& scale,

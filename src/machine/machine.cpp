@@ -44,14 +44,12 @@ TaskId Machine::add_thread(std::unique_ptr<workload::TaskStream> stream, std::si
   return id;
 }
 
-std::vector<TaskId> Machine::add_process(const workload::TraceSource& source,
-                                         std::size_t affinity) {
+std::vector<TaskId> Machine::add_process(workload::StreamGroup threads, std::size_t affinity) {
+  if (threads.empty()) throw std::invalid_argument("Machine: process with no threads");
   const std::size_t pid = next_pid_++;
   std::vector<TaskId> ids;
-  ids.reserve(source.num_threads());
-  for (std::size_t t = 0; t < source.num_threads(); ++t) {
-    ids.push_back(add_thread(source.make_stream(t), pid, affinity));
-  }
+  ids.reserve(threads.size());
+  for (auto& stream : threads) ids.push_back(add_thread(std::move(stream), pid, affinity));
   return ids;
 }
 

@@ -26,7 +26,7 @@
 #include "machine/config.hpp"
 #include "machine/scheduler.hpp"
 #include "machine/task.hpp"
-#include "workload/trace_source.hpp"
+#include "workload/benchmark_model.hpp"
 
 namespace symbiosis::machine {
 
@@ -51,10 +51,10 @@ class Machine {
   TaskId add_thread(std::unique_ptr<workload::TaskStream> stream, std::size_t pid,
                     std::size_t affinity = Task::kAnyCore);
 
-  /// Admit a whole process described by @p source (synthetic generator or
-  /// .symt trace): one task per source thread, all sharing a fresh pid.
-  /// Returns the TaskIds in source-thread order.
-  std::vector<TaskId> add_process(const workload::TraceSource& source,
+  /// Admit a whole process: one task per stream of @p threads (generated
+  /// or .symt-replayed), all sharing a fresh pid. Returns the TaskIds in
+  /// thread order.
+  std::vector<TaskId> add_process(workload::StreamGroup threads,
                                   std::size_t affinity = Task::kAnyCore);
 
   [[nodiscard]] std::size_t task_count() const noexcept { return tasks_.size(); }

@@ -3,93 +3,44 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
+#include <vector>
 
 #include "util/check.hpp"
 
 namespace symbiosis::util {
 
-void RunningStat::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+namespace {
+
+double mean(std::span<const double> xs) noexcept {
+  return std::accumulate(xs.begin(), xs.end(), 0.0) / static_cast<double>(xs.size());
+}
+
+std::vector<double> ranks_of(std::span<const double> xs) {
+  const std::size_t n = xs.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
+  std::vector<double> ranks(n, 0.0);
+  std::size_t i = 0;
+  while (i < n) {
+    std::size_t j = i;
+    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
+    const double avg_rank = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
+    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg_rank;
+    i = j + 1;
   }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  return ranks;
 }
 
-void RunningStat::merge(const RunningStat& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStat::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
-  SYM_CHECK(hi > lo, "util.stats") << "Histogram range is empty";
-  SYM_CHECK(bins > 0, "util.stats") << "Histogram needs at least one bin";
-}
-
-void Histogram::add(double x) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += static_cast<double>(counts_[i]);
-    if (cum >= target) return bin_lo(i);
-  }
-  return hi_;
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::ostringstream os;
-  const std::size_t peak = counts_.empty() ? 0 : *std::max_element(counts_.begin(), counts_.end());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::size_t bar = peak ? counts_[i] * width / peak : 0;
-    os << "[" << bin_lo(i) << ", " << bin_lo(i + 1 == counts_.size() ? i : i + 1) << ") ";
-    os << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return os.str();
-}
+}  // namespace
 
 double pearson(std::span<const double> x, std::span<const double> y) {
   SYM_CHECK_EQ(x.size(), y.size(), "util.stats") << "pearson needs paired samples";
   const std::size_t n = x.size();
   if (n < 2) return 0.0;
-  const double mx = mean_of(x);
-  const double my = mean_of(y);
+  const double mx = mean(x);
+  const double my = mean(y);
   double sxy = 0.0, sxx = 0.0, syy = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double dx = x[i] - mx;
@@ -102,57 +53,12 @@ double pearson(std::span<const double> x, std::span<const double> y) {
   return sxy / std::sqrt(sxx * syy);
 }
 
-namespace {
-std::vector<double> ranks_of(std::span<const double> xs) {
-  const std::size_t n = xs.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> ranks(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    const double avg_rank = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg_rank;
-    i = j + 1;
-  }
-  return ranks;
-}
-}  // namespace
-
 double spearman(std::span<const double> x, std::span<const double> y) {
   SYM_CHECK_EQ(x.size(), y.size(), "util.stats") << "spearman needs paired samples";
   if (x.size() < 2) return 0.0;
   const auto rx = ranks_of(x);
   const auto ry = ranks_of(y);
   return pearson(rx, ry);
-}
-
-double mean_of(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  return std::accumulate(xs.begin(), xs.end(), 0.0) / static_cast<double>(xs.size());
-}
-
-double geomean_of(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (const double x : xs) {
-    if (x <= 0.0) return 0.0;
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double quantile_of(std::span<const double> xs, double q) {
-  if (xs.empty()) return 0.0;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 }  // namespace symbiosis::util

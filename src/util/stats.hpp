@@ -1,60 +1,10 @@
-// stats.hpp — streaming statistics used by experiments and benches.
+// stats.hpp — correlation coefficients (the Fig 2–5 counters-vs-occupancy
+// bench).
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace symbiosis::util {
-
-/// Welford running mean/variance accumulator. O(1) space, numerically stable.
-class RunningStat {
- public:
-  void add(double x) noexcept;
-  void merge(const RunningStat& other) noexcept;
-  void reset() noexcept { *this = RunningStat{}; }
-
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 when fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bin. Used for footprint and latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// Approximate quantile (0 <= q <= 1) by linear scan of bins.
-  [[nodiscard]] double quantile(double q) const noexcept;
-  /// Lower edge of bin @p i.
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  /// Render as a compact ASCII bar chart (one line per bin).
-  [[nodiscard]] std::string ascii(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 /// Pearson correlation coefficient of two equally sized series.
 /// Returns 0 when either series has zero variance.
@@ -62,14 +12,5 @@ class Histogram {
 
 /// Spearman rank correlation (Pearson over ranks, average ranks for ties).
 [[nodiscard]] double spearman(std::span<const double> x, std::span<const double> y);
-
-/// Arithmetic mean of a series (0 for empty).
-[[nodiscard]] double mean_of(std::span<const double> xs) noexcept;
-
-/// Geometric mean of a positive series (0 for empty).
-[[nodiscard]] double geomean_of(std::span<const double> xs) noexcept;
-
-/// Exact quantile of a copied, sorted series (q in [0,1], linear interp).
-[[nodiscard]] double quantile_of(std::span<const double> xs, double q);
 
 }  // namespace symbiosis::util

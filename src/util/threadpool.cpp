@@ -42,22 +42,10 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
-  parallel_for_sharded(begin, end, fn, 1);
-}
-
-void ThreadPool::parallel_for_sharded(std::size_t begin, std::size_t end,
-                                      const std::function<void(std::size_t)>& fn,
-                                      std::size_t grain) {
   if (begin >= end) return;
-  SYM_CHECK(grain > 0, "util.threadpool") << "parallel_for_sharded: zero grain";
   std::vector<std::future<void>> futures;
-  futures.reserve((end - begin + grain - 1) / grain);
-  for (std::size_t lo = begin; lo < end; lo += grain) {
-    const std::size_t hi = std::min(end, lo + grain);
-    futures.push_back(submit([&fn, lo, hi] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    }));
-  }
+  futures.reserve(end - begin);
+  for (std::size_t i = begin; i < end; ++i) futures.push_back(submit([&fn, i] { fn(i); }));
   std::exception_ptr first_error;
   for (auto& f : futures) {
     try {

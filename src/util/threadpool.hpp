@@ -50,19 +50,11 @@ class ThreadPool {
     return fut;
   }
 
-  /// Run fn(i) for i in [begin, end) across the pool and wait for all.
-  /// Exceptions from tasks are rethrown (the first one encountered).
+  /// Run fn(i) for i in [begin, end) across the pool, one task per index
+  /// queued in ascending order, and wait for all. Exceptions from tasks are
+  /// rethrown (the first one encountered) once every task has finished.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
-
-  /// Sharded variant: the range is cut into contiguous shards of up to
-  /// @p grain indices and one pool task runs each shard serially, amortising
-  /// queue/future overhead when per-index work is small. Indices within a
-  /// shard run in ascending order; results must not depend on cross-index
-  /// ordering (the determinism suite enforces this for sweeps). grain == 1
-  /// is exactly parallel_for.
-  void parallel_for_sharded(std::size_t begin, std::size_t end,
-                            const std::function<void(std::size_t)>& fn, std::size_t grain);
 
  private:
   void worker_loop();

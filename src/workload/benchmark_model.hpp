@@ -48,6 +48,10 @@ class TaskStream {
   [[nodiscard]] virtual std::uint64_t total_refs() const = 0;
 };
 
+/// The streams of one process, in thread order: one for a single-threaded
+/// program, one per thread for a multi-threaded one.
+using StreamGroup = std::vector<std::unique_ptr<TaskStream>>;
+
 /// One phase of a benchmark.
 struct PhaseSpec {
   PatternSpec pattern;

@@ -6,11 +6,6 @@
 
 namespace symbiosis::workload {
 
-std::unique_ptr<TaskStream> SyntheticSource::make_stream(std::size_t thread) const {
-  if (thread != 0) throw std::out_of_range("SyntheticSource: single-threaded source");
-  return std::make_unique<Workload>(spec_, base_, util::Rng{seed_});
-}
-
 namespace {
 
 /// Memory records of one trace thread (SymtTaskStream's total_refs).
@@ -55,17 +50,6 @@ void SymtTaskStream::restart() {
   cursor_ = SymtCursor(*trace_, thread_);
   issued_ = 0;
   skipped_syncs_ = 0;
-}
-
-SymtSource::SymtSource(std::shared_ptr<const SymtTrace> trace, std::string name)
-    : trace_(std::move(trace)), name_(std::move(name)) {
-  if (!trace_) throw std::invalid_argument("SymtSource: null trace");
-}
-
-std::unique_ptr<TaskStream> SymtSource::make_stream(std::size_t thread) const {
-  if (thread >= trace_->num_threads()) throw std::out_of_range("SymtSource: bad thread");
-  return std::make_unique<SymtTaskStream>(trace_, thread,
-                                          name_ + ".t" + std::to_string(thread));
 }
 
 std::uint64_t record_stream(SymtWriter& writer, std::size_t thread, TaskStream& stream,

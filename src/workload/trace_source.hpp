@@ -1,18 +1,17 @@
-// trace_source.hpp — one interface for "where do a process's steps come
-// from": synthetic generators or .symt trace files.
+// trace_source.hpp — .symt traces as machine workloads, and the
+// generator→.symt converters.
 //
-// The Machine consumes TaskStreams; a TraceSource is the factory that
-// describes one PROCESS (possibly multi-threaded) and mints one TaskStream
-// per thread. Machine::add_process() walks any source, so drivers switch a
-// run between synthetic generation and trace replay by swapping the source,
-// nothing else:
+// A SymtTaskStream feeds one thread of a .symt trace to the Machine; a
+// trace's threads go in as one stream group (Machine::add_process), so they
+// share a pid exactly like a generated multi-threaded process:
 //
-//   SyntheticSource mcf(make_spec_benchmark("mcf"), base, seed);   // 1 thread
-//   SymtSource trace(std::make_shared<SymtTrace>(SymtTrace::open(p)), "app");
-//   machine.add_process(mcf);      // identical call shape
-//   machine.add_process(trace);    // one task per trace thread, shared pid
+//   auto trace = std::make_shared<const SymtTrace>(SymtTrace::open(path));
+//   StreamGroup threads;
+//   for (std::size_t t = 0; t < trace->num_threads(); ++t)
+//     threads.push_back(std::make_unique<SymtTaskStream>(trace, t, name));
+//   machine.add_process(std::move(threads));
 //
-// SymtSource streams yield Step{gap, addr, is_write} from the thread's
+// SymtTaskStreams yield Step{gap, addr, is_write} from the thread's
 // records. Synchronization records are NOT enforceable on this path (a
 // TaskStream cannot block the machine's scheduler), so they are skipped and
 // counted; sync-faithful replay is workload/replayer.hpp's job. Converted
@@ -30,35 +29,6 @@
 #include "workload/symt.hpp"
 
 namespace symbiosis::workload {
-
-/// A (possibly multi-threaded) process workload a Machine can admit.
-class TraceSource {
- public:
-  virtual ~TraceSource() = default;
-  [[nodiscard]] virtual const std::string& name() const = 0;
-  [[nodiscard]] virtual std::size_t num_threads() const = 0;
-  /// Mint the TaskStream for @p thread (fresh state each call).
-  [[nodiscard]] virtual std::unique_ptr<TaskStream> make_stream(std::size_t thread) const = 0;
-};
-
-/// Synthetic generator as a single-threaded source: every make_stream(0)
-/// yields an identically seeded Workload, so repeated runs reproduce.
-class SyntheticSource final : public TraceSource {
- public:
-  SyntheticSource(BenchmarkSpec spec, Addr base, std::uint64_t seed)
-      : spec_(std::move(spec)), base_(base), seed_(seed) {}
-
-  [[nodiscard]] const std::string& name() const override { return spec_.name; }
-  [[nodiscard]] std::size_t num_threads() const override { return 1; }
-  [[nodiscard]] std::unique_ptr<TaskStream> make_stream(std::size_t thread) const override;
-
-  [[nodiscard]] const BenchmarkSpec& spec() const noexcept { return spec_; }
-
- private:
-  BenchmarkSpec spec_;
-  Addr base_;
-  std::uint64_t seed_;
-};
 
 /// TaskStream over one thread of a shared SymtTrace. Sync records are
 /// skipped (counted in skipped_syncs()); see the header comment.
@@ -84,23 +54,6 @@ class SymtTaskStream final : public TaskStream {
   std::uint64_t issued_ = 0;
   std::uint64_t skipped_syncs_ = 0;
   Step last_{};
-};
-
-/// A .symt file as a process: one TaskStream per trace thread.
-class SymtSource final : public TraceSource {
- public:
-  /// @param trace shared so minted streams outlive the source safely.
-  SymtSource(std::shared_ptr<const SymtTrace> trace, std::string name);
-
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] std::size_t num_threads() const override { return trace_->num_threads(); }
-  [[nodiscard]] std::unique_ptr<TaskStream> make_stream(std::size_t thread) const override;
-
-  [[nodiscard]] const SymtTrace& trace() const noexcept { return *trace_; }
-
- private:
-  std::shared_ptr<const SymtTrace> trace_;
-  std::string name_;
 };
 
 // --- converters ------------------------------------------------------------

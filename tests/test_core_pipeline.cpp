@@ -97,8 +97,9 @@ TEST(Pipeline, MeasureMappingVmIsSlowerThanNative) {
   alloc.group_of = {0, 0, 1, 1};
   const std::vector<std::string> mix = {"povray", "gobmk", "sjeng", "bzip2"};
   const MappingRun native = measure_mapping(config, mix, alloc);
+  config.virtualized = true;
   config.vm.dom0_region_bytes = 4 * 1024;
-  const MappingRun vm = measure_mapping_vm(config, mix, alloc);
+  const MappingRun vm = measure_mapping(config, mix, alloc);
   ASSERT_TRUE(native.completed);
   ASSERT_TRUE(vm.completed);
   std::uint64_t native_total = 0, vm_total = 0;
@@ -116,7 +117,7 @@ TEST(Pipeline, MultiThreadedMeasurementAggregatesPerProcess) {
   sched::Allocation alloc;
   alloc.groups = 2;
   alloc.group_of = {0, 1, 0, 1, 0, 1, 0, 1};  // 8 threads round-robin
-  const MappingRun run = measure_mapping_mt(config, mix, alloc);
+  const MappingRun run = run_measurement({config, mix, alloc, /*multithreaded=*/true});
   EXPECT_TRUE(run.completed);
   ASSERT_EQ(run.names.size(), 2u);  // per PROCESS, not per thread
   EXPECT_EQ(run.names[0], "blackscholes");
@@ -126,8 +127,7 @@ TEST(Pipeline, MultiThreadedMeasurementAggregatesPerProcess) {
 TEST(Pipeline, ChooseAllocationMtCoversAllThreads) {
   PipelineConfig config = tiny_pipeline();
   config.scale.length_scale = 0.02;
-  SymbioticScheduler pipeline(config);
-  const auto alloc = pipeline.choose_allocation_mt({"blackscholes", "ferret"});
+  const auto alloc = run_vote({config, {"blackscholes", "ferret"}, /*multithreaded=*/true}).chosen;
   EXPECT_EQ(alloc.group_of.size(), 8u);  // 2 processes x 4 threads
   EXPECT_EQ(alloc.members(0).size(), 4u);
 }

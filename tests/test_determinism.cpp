@@ -224,13 +224,10 @@ TEST(Determinism, MultithreadedGridIsIdenticalForAnyWorkerCount) {
 
 TEST(Determinism, MixExperimentOnAPoolEqualsSerial) {
   util::ThreadPool pool(3);
-  const PipelineConfig config = tiny_pipeline();
-  const std::vector<std::string> mix = {"mcf", "libquantum", "povray", "gobmk"};
-  EXPECT_EQ(run_mix_experiment(config, mix, &pool), run_mix_experiment(config, mix));
-
-  const PipelineConfig mt = tiny_mt_pipeline();
-  const std::vector<std::string> apps = {"blackscholes", "swaptions"};
-  EXPECT_EQ(run_mix_experiment_mt(mt, apps, 3, &pool), run_mix_experiment_mt(mt, apps, 3));
+  const std::vector<ExperimentCell> cells = {
+      {tiny_pipeline(), {"mcf", "libquantum", "povray", "gobmk"}},
+      {tiny_mt_pipeline(), {"blackscholes", "swaptions"}, /*multithreaded=*/true}};
+  EXPECT_EQ(run_experiment_cells(cells, &pool), run_experiment_cells(cells));
 }
 
 TEST(Determinism, PhaseTasksLandInTheirSlots) {
@@ -267,7 +264,7 @@ TEST(Determinism, PhaseTaskErrorsReachTheCaller) {
   EXPECT_THROW(
       (void)run_phase_tasks({{config, mix}}, {{config, mix, wrong_size}}, &pool),
       std::invalid_argument);
-  EXPECT_THROW((void)run_mix_experiment(config, {"mcf", "nosuch"}, &pool),
+  EXPECT_THROW((void)run_experiment_cells({{config, {"mcf", "nosuch"}}}, &pool),
                std::invalid_argument);
 }
 

@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "workload/benchmark_model.hpp"
 
@@ -86,7 +88,7 @@ TEST(RunMixExperiment, EndToEndTinyMix) {
   config.measure_max_cycles = 400'000'000;
 
   const MixOutcome outcome =
-      run_mix_experiment(config, {"mcf", "libquantum", "povray", "gobmk"});
+      run_experiment_cells({{config, {"mcf", "libquantum", "povray", "gobmk"}}}).front();
   ASSERT_GE(outcome.mappings.size(), 3u);  // the 3 balanced mappings
   EXPECT_LT(outcome.chosen, outcome.mappings.size());
   for (const auto& run : outcome.mappings) {
@@ -101,7 +103,7 @@ TEST(RunMixExperiment, EndToEndTinyMix) {
   }
 }
 
-TEST(RunMixExperimentMt, UsesSampledReferenceSet) {
+PipelineConfig tiny_parsec_pipeline() {
   PipelineConfig config;
   config.machine.hierarchy.num_cores = 2;
   config.machine.hierarchy.l1 = {1024, 2, 64};
@@ -112,14 +114,34 @@ TEST(RunMixExperimentMt, UsesSampledReferenceSet) {
   config.allocator_period_cycles = 500'000;
   config.emulation_cycles = 2'000'000;
   config.measure_max_cycles = 400'000'000;
+  return config;
+}
 
+TEST(RunMixExperimentMt, UsesSampledReferenceSet) {
   const MixOutcome outcome =
-      run_mix_experiment_mt(config, {"blackscholes", "swaptions"}, /*sampled_mappings=*/3);
+      run_experiment_cells(
+          {{tiny_parsec_pipeline(), {"blackscholes", "swaptions"}, /*multithreaded=*/true}})
+          .front();
   EXPECT_GE(outcome.mappings.size(), 2u);  // default + chosen at least
+  EXPECT_LE(outcome.mappings.size(), 8u);  // default + 6 samples + chosen at most
   EXPECT_LT(outcome.chosen, outcome.mappings.size());
   for (const auto& run : outcome.mappings) {
     ASSERT_EQ(run.names.size(), 2u);  // per process
     EXPECT_TRUE(run.completed);
+  }
+}
+
+TEST(RunMixExperimentMt, RejectsVirtualizedThreads) {
+  // The paper measures PARSEC natively (Fig 12); a virtualized multithreaded
+  // cell must not be measured natively behind the config's back.
+  PipelineConfig config = tiny_parsec_pipeline();
+  config.virtualized = true;
+  try {
+    (void)run_experiment_cells({{config, {"blackscholes", "swaptions"}, /*multithreaded=*/true}});
+    FAIL() << "a virtualized multithreaded cell ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("multithreaded"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("virtualized"), std::string::npos) << e.what();
   }
 }
 

@@ -171,6 +171,8 @@ TEST(Machine, Validation) {
   cfg = tiny_machine();
   cfg.batch_steps = 0;
   EXPECT_THROW(Machine{cfg}, std::invalid_argument);
+  Machine m(tiny_machine());
+  EXPECT_THROW(m.add_process({}), std::invalid_argument);
 }
 
 }  // namespace

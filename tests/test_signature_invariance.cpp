@@ -1,6 +1,6 @@
 // The signature unit observes the shared L2 but never steers it: turning it
 // off must leave every simulated time and every cache counter unchanged.
-// Phase 2 (core::measure_mapping{,_vm,_mt}) relies on this to run without
+// Phase 2 (core::run_measurement) relies on this to run without
 // the unit, so each setup here runs to completion with signature.enabled
 // true and then false and requires identical per-task first-completion user
 // times, machine clock, step count and per-level stats. A change that lets
@@ -112,11 +112,10 @@ TEST(SignatureInvariance, Hypervisor) {
     scale.l2_bytes = config.hierarchy.l2.size_bytes;
     scale.length_scale = 0.02;
     vm::Hypervisor hv(config, vm::VmConfig{});
-    util::Rng rng(9);
+    auto programs = build_mix(mix, scale, 9);
     std::vector<vm::DomainId> domains;
-    for (std::size_t i = 0; i < mix.size(); ++i) {
-      domains.push_back(hv.create_domain(workload::make_spec_workload(
-          mix[i], machine::address_space_base(i), rng.split(i + 1), scale)));
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+      domains.push_back(hv.create_domain(std::move(programs[i])));
       hv.set_domain_affinity(domains.back(), groups[i]);
     }
     RunSummary out;

@@ -2,78 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace symbiosis::util {
 namespace {
-
-TEST(RunningStat, BasicMoments) {
-  RunningStat s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStat, EmptyAndSingle) {
-  RunningStat s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStat, MergeMatchesSequential) {
-  Rng rng(5);
-  RunningStat whole, a, b;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.next_normal() * 3 + 1;
-    whole.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(RunningStat, MergeWithEmpty) {
-  RunningStat a, b;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), mean);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-5.0);   // clamps into first bin
-  h.add(100.0);  // clamps into last bin
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, Quantile) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
-}
 
 TEST(Pearson, PerfectCorrelation) {
   std::vector<double> x = {1, 2, 3, 4, 5};
@@ -110,22 +44,6 @@ TEST(Spearman, HandlesTies) {
   std::vector<double> x = {1, 2, 2, 3};
   std::vector<double> y = {1, 2, 2, 3};
   EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
-}
-
-TEST(Aggregates, MeanGeomeanQuantile) {
-  std::vector<double> xs = {1.0, 2.0, 4.0, 8.0};
-  EXPECT_DOUBLE_EQ(mean_of(xs), 3.75);
-  EXPECT_NEAR(geomean_of(xs), std::sqrt(std::sqrt(64.0)), 1e-12);
-  EXPECT_DOUBLE_EQ(quantile_of(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile_of(xs, 1.0), 8.0);
-  EXPECT_DOUBLE_EQ(quantile_of(xs, 0.5), 3.0);
-  EXPECT_EQ(mean_of({}), 0.0);
-  EXPECT_EQ(geomean_of({}), 0.0);
-}
-
-TEST(Aggregates, GeomeanNonPositiveIsZero) {
-  std::vector<double> xs = {1.0, -2.0};
-  EXPECT_EQ(geomean_of(xs), 0.0);
 }
 
 }  // namespace

@@ -353,7 +353,7 @@ TEST(ReplayApi, RunTwiceRejected) {
   EXPECT_THROW(replayer.run(), std::logic_error);
 }
 
-// --- Machine integration (TraceSource) -------------------------------------
+// --- Machine integration ----------------------------------------------------
 
 TEST(TraceSourceApi, SymtSourceFeedsMachineDeterministically) {
   const auto image = symt_from_benchmarks({"mcf", "gobmk"}, 3000, 31);
@@ -361,8 +361,11 @@ TEST(TraceSourceApi, SymtSourceFeedsMachineDeterministically) {
 
   auto run_once = [&] {
     machine::Machine m(machine::core2duo_config());
-    const SymtSource source(trace, "mix");
-    const auto ids = m.add_process(source);
+    StreamGroup threads;
+    for (std::size_t t = 0; t < trace->num_threads(); ++t) {
+      threads.push_back(std::make_unique<SymtTaskStream>(trace, t, "mix.t" + std::to_string(t)));
+    }
+    const auto ids = m.add_process(std::move(threads));
     EXPECT_EQ(ids.size(), 2u);
     // Threads of one process share a pid; distinct from a later process.
     EXPECT_EQ(m.task(ids[0]).pid(), m.task(ids[1]).pid());
@@ -375,19 +378,6 @@ TEST(TraceSourceApi, SymtSourceFeedsMachineDeterministically) {
   const auto b = run_once();
   EXPECT_EQ(a, b);
   EXPECT_GT(a[0], 0u);
-}
-
-TEST(TraceSourceApi, SyntheticSourceMatchesDirectWorkload) {
-  const SyntheticSource source(make_spec_benchmark("mcf"), 1 << 20, 77);
-  auto stream = source.make_stream(0);
-  auto direct = make_spec_workload("mcf", 1 << 20, util::Rng{77});
-  for (int i = 0; i < 1000; ++i) {
-    const Step a = stream->next();
-    const Step b = direct->next();
-    ASSERT_EQ(a.addr, b.addr);
-    ASSERT_EQ(a.is_write, b.is_write);
-    ASSERT_EQ(a.compute_instr, b.compute_instr);
-  }
 }
 
 TEST(TraceSourceApi, SymtStreamSkipsSyncRecordsAndRestarts) {

@@ -1,15 +1,11 @@
-// Tests for TextTable, CsvWriter, ArgParser, logger, ThreadPool.
+// Tests for TextTable, ArgParser, logger, ThreadPool.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <stdexcept>
 #include <vector>
 
 #include "util/cli.hpp"
-#include "util/csv.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 #include "util/threadpool.hpp"
@@ -39,27 +35,6 @@ TEST(TextTable, RaggedRows) {
   t.add_row({"1", "2", "3", "4"});
   EXPECT_FALSE(t.str().empty());
   EXPECT_EQ(t.rows(), 2u);
-}
-
-TEST(CsvWriter, QuotesSpecialCells) {
-  const std::string path = testing::TempDir() + "/symbiosis_test.csv";
-  {
-    CsvWriter csv(path);
-    csv.row({"plain", "with,comma", "with\"quote", "multi\nline"});
-    csv.row_numeric({1.5, 2.0});
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "plain,\"with,comma\",\"with\"\"quote\",\"multi");
-  std::getline(in, line);
-  EXPECT_EQ(line, "line\"");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1.5,2");
-}
-
-TEST(CsvWriter, ThrowsOnBadPath) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir-xyz/file.csv"), std::runtime_error);
 }
 
 TEST(ArgParser, ParsesAllKinds) {
@@ -149,49 +124,6 @@ TEST(ThreadPool, PropagatesException) {
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(1);
   pool.parallel_for(5, 5, [](std::size_t) { FAIL(); });
-}
-
-TEST(ThreadPool, ShardedCoversAllForAnyGrain) {
-  ThreadPool pool(4);
-  // Grains that divide the range, leave a remainder shard, exceed it, and
-  // degenerate to parallel_for must all visit every index exactly once.
-  for (const std::size_t grain : {1ul, 3ul, 7ul, 50ul, 1000ul}) {
-    std::vector<std::atomic<int>> hits(101);
-    pool.parallel_for_sharded(0, 101, [&](std::size_t i) { hits[i].fetch_add(1); }, grain);
-    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "grain " << grain;
-  }
-}
-
-TEST(ThreadPool, ShardedRunsShardIndicesInAscendingOrder) {
-  ThreadPool pool(2);
-  // Record each index's observation order within its shard; a shard task
-  // runs its slice serially in ascending order by contract.
-  constexpr std::size_t kGrain = 16;
-  std::vector<int> order(64, -1);
-  std::array<std::atomic<int>, 4> shard_seq{};
-  pool.parallel_for_sharded(
-      0, 64,
-      [&](std::size_t i) { order[i] = shard_seq[i / kGrain].fetch_add(1); },
-      kGrain);
-  for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(order[i], static_cast<int>(i % kGrain)) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, ShardedPropagatesException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for_sharded(
-                   0, 20,
-                   [](std::size_t i) {
-                     if (i == 13) throw std::runtime_error("boom");
-                   },
-                   4),
-               std::runtime_error);
-}
-
-TEST(ThreadPool, ShardedEmptyRangeIsNoop) {
-  ThreadPool pool(1);
-  pool.parallel_for_sharded(9, 9, [](std::size_t) { FAIL(); }, 4);
 }
 
 }  // namespace

@@ -138,8 +138,8 @@ class RngChecker(unittest.TestCase):
         self.assertIn("split", result.stdout)
 
     def test_split_derived_auto_rng_in_pool_task_is_clean(self):
-        # The run_sweep_grid sharding shape: `auto rng = base.split(i)` inside
-        # a parallel_for_sharded lambda. No `Rng` token appears in the
+        # The run_sweep_grid seeding shape: `auto rng = base.split(i)` inside
+        # a parallel_for lambda. No `Rng` token appears in the
         # declaration, so this regression-tests the assigned-from-split skip
         # (it false-positived as shared-across-tasks before).
         result = run_fixture("rng_split_sweep")
