@@ -14,6 +14,7 @@
 //   --manycore      64 cores in 8 clusters (4MB/32-way L3) instead of 32/4
 //   --l3-partition  give each cluster an equal contiguous slice of L3 ways
 #include <cstdio>
+#include <exception>
 #include <vector>
 
 #include "core/symbiotic_scheduler.hpp"
@@ -22,7 +23,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_cli(int argc, char** argv) {
   using namespace symbiosis;
 
   util::ArgParser args("clustered_manycore", "clustered L2s + shared L3, end to end");
@@ -102,4 +105,15 @@ int main(int argc, char** argv) {
     std::printf("cross-cluster symbiosis (core 0 vs first core of cluster 1): %zu\n", score);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "clustered_manycore: %s\n", e.what());
+    return 1;
+  }
 }

@@ -8,12 +8,15 @@
 //
 //   ./quickstart [--allocator weighted-graph] [--seed 42] [--scale 1.0]
 #include <cstdio>
+#include <exception>
 
 #include "core/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_cli(int argc, char** argv) {
   using namespace symbiosis;
 
   util::ArgParser args("quickstart", "two-phase symbiotic scheduling on the Table 1 mix");
@@ -75,4 +78,15 @@ int main(int argc, char** argv) {
   std::printf("improvements:\n");
   improvements.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 1;
+  }
 }

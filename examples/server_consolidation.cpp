@@ -11,6 +11,7 @@
 //   ./server_consolidation [--seed 7] [--scale 0.5]
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 
 #include "core/online.hpp"
 #include "machine/config.hpp"
@@ -18,7 +19,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_cli(int argc, char** argv) {
   using namespace symbiosis;
 
   util::ArgParser args("server_consolidation", "8 jobs on a quad-core, 4 policies compared");
@@ -74,4 +77,15 @@ int main(int argc, char** argv) {
       "\nLower slowdown = better consolidation. The signature-driven policies should\n"
       "herd the cache hogs onto shared cores and spread the benign jobs.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "server_consolidation: %s\n", e.what());
+    return 1;
+  }
 }

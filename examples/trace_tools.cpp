@@ -21,7 +21,7 @@
 //   ./trace_tools roundtrip [--benchmark mcf] [--refs 200000] [--out f.symt]
 //   ./trace_tools convert --mix mcf,libquantum --refs 100000 --out mix.symt --verify
 //   ./trace_tools convert --text app.trace --out app.symt
-//   ./trace_tools replay mix.symt [--cores 2] [--chunk 4096] [--workers 4]
+//   ./trace_tools replay mix.symt [--cores 2] [--chunk 4096]
 //   ./trace_tools inspect report.json [--path summary.0.name]
 //   ./trace_tools diff a.json b.json [--all]
 //   ./trace_tools validate report.json | trace.symt [--stats]
@@ -36,7 +36,6 @@
 #include "obs/json.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "util/threadpool.hpp"
 #include "workload/replayer.hpp"
 #include "workload/symt.hpp"
 #include "workload/trace_source.hpp"
@@ -220,7 +219,6 @@ int cmd_replay(int argc, char** argv) {
   util::ArgParser args("trace_tools replay", "replay a .symt trace through a hierarchy");
   auto& cores = args.add_u64("cores", "simulated cores", 2);
   auto& chunk = args.add_u64("chunk", "references per thread visit", 4096);
-  auto& workers = args.add_u64("workers", "decode worker threads (0 = serial)", 0);
   auto& report_path = args.add_string("report", "write a trace_replay run report here", "");
   if (!args.parse(argc, argv)) return 1;
   if (args.positional().size() != 1) {
@@ -236,11 +234,6 @@ int cmd_replay(int argc, char** argv) {
   cachesim::Hierarchy hierarchy(hconfig);
   workload::ReplayOptions options;
   options.chunk = chunk;
-  std::unique_ptr<util::ThreadPool> pool;
-  if (workers > 0) {
-    pool = std::make_unique<util::ThreadPool>(static_cast<std::size_t>(workers));
-    options.pool = pool.get();
-  }
   const workload::ReplayResult result = workload::replay_trace(trace, hierarchy, options);
 
   util::TextTable table({"metric", "value"});
@@ -255,7 +248,7 @@ int cmd_replay(int argc, char** argv) {
 
   if (!report_path.empty()) {
     const obs::Json report = core::build_trace_replay_report(
-        hconfig, trace.path(), stats, result, chunk, workers);
+        hconfig, trace.path(), stats, result, chunk);
     core::write_report_file(report, report_path);
     std::printf("report written to %s\n", report_path.c_str());
   }

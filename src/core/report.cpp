@@ -254,7 +254,7 @@ obs::Json build_trace_replay_report(const cachesim::HierarchyConfig& machine,
                                     const std::string& trace_path,
                                     const workload::SymtStats& stats,
                                     const workload::ReplayResult& result, std::size_t chunk,
-                                    std::size_t workers, const obs::PhaseTimings& timings) {
+                                    const obs::PhaseTimings& timings) {
   obs::Json report = obs::Json::object();
   report.set("schema", obs::Json(kReportSchema));
   const bool degenerate = machine.degenerate();
@@ -312,7 +312,6 @@ obs::Json build_trace_replay_report(const cachesim::HierarchyConfig& machine,
 
   obs::Json replay = obs::Json::object();
   replay.set("chunk", obs::Json(static_cast<std::uint64_t>(chunk)));
-  replay.set("workers", obs::Json(static_cast<std::uint64_t>(workers)));
   replay.set("rounds", obs::Json(result.rounds));
   replay.set("sync_events", obs::Json(result.sync_events));
   replay.set("totals", std::move(totals));

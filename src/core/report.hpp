@@ -82,7 +82,7 @@ inline constexpr std::uint64_t kLegacyReportSchemaVersion = 1;
 [[nodiscard]] obs::Json build_trace_replay_report(
     const cachesim::HierarchyConfig& machine, const std::string& trace_path,
     const workload::SymtStats& stats, const workload::ReplayResult& result, std::size_t chunk,
-    std::size_t workers, const obs::PhaseTimings& timings = {});
+    const obs::PhaseTimings& timings = {});
 
 /// Structural validation: schema/version stamp, required sections, member
 /// types, cross-field consistency (chosen index in range, user_cycles

@@ -95,15 +95,16 @@ void Machine::record_signature(std::size_t core, Task& task) {
   const std::size_t cluster = hierarchy_.cluster_of(core);
   const std::size_t local = hierarchy_.local_core(core);
   const sig::BitVector rbv = filter->compute_rbv(local);
+  const std::size_t weight = rbv.popcount();
   static obs::Histogram& popcount_hist = obs::histogram("sig.rbv.popcount");
-  popcount_hist.observe(rbv.popcount());
+  popcount_hist.observe(weight);
   sig::SignatureSample sample;
   sample.core = core;
-  sample.occupancy_weight = rbv.popcount();
+  sample.occupancy_weight = weight;
   sample.symbiosis.resize(config_.hierarchy.num_cores);
-  // Own cluster in one batched kernel pass: the self core compares against
-  // the LF snapshot (co-residents' footprint), other same-cluster cores
-  // against their live CFs (§3.1 / filter_unit.hpp).
+  // Own cluster in one call: the self core compares against the LF
+  // snapshot (co-residents' footprint), other same-cluster cores against
+  // their live CFs (§3.1 / filter_unit.hpp).
   SYM_DCHECK_EQ(symbiosis_scratch_.size(), filter->num_cores(), "machine.affinity")
       << "symbiosis scratch sized at construction";
   filter->symbiosis_all(rbv, local, symbiosis_scratch_.data());

@@ -50,7 +50,7 @@ Allocation InterferenceGraphAllocator::allocate(const std::vector<TaskProfile>& 
     throw std::invalid_argument("InterferenceGraphAllocator: fewer tasks than groups");
   }
   const SymMatrix w = build_interference_graph(profiles, /*weighted=*/false);
-  Allocation alloc = balanced_min_cut(w, groups, method_, seed_);
+  Allocation alloc = balanced_min_cut(w, groups, MinCutMethod::Auto, seed_);
   SYM_RECORD(decision_event(name(), w, alloc));
   return alloc;
 }
@@ -61,7 +61,7 @@ Allocation WeightedGraphAllocator::allocate(const std::vector<TaskProfile>& prof
     throw std::invalid_argument("WeightedGraphAllocator: fewer tasks than groups");
   }
   const SymMatrix w = build_interference_graph(profiles, /*weighted=*/true);
-  Allocation alloc = balanced_min_cut(w, groups, method_, seed_);
+  Allocation alloc = balanced_min_cut(w, groups, MinCutMethod::Auto, seed_);
   SYM_RECORD(decision_event(name(), w, alloc));
   return alloc;
 }

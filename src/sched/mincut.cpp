@@ -23,15 +23,6 @@ std::string to_string(MinCutMethod method) {
   return "?";
 }
 
-MinCutMethod parse_mincut_method(const std::string& name) {
-  if (name == "exhaustive") return MinCutMethod::Exhaustive;
-  if (name == "greedy") return MinCutMethod::Greedy;
-  if (name == "kernighan-lin") return MinCutMethod::KernighanLin;
-  if (name == "spectral") return MinCutMethod::Spectral;
-  if (name == "auto") return MinCutMethod::Auto;
-  throw std::invalid_argument("unknown mincut method: " + name);
-}
-
 SYM_HOT double cut_weight(const SymMatrix& w, const Allocation& alloc) {
   double total = 0.0;
   for (std::size_t i = 0; i < w.size(); ++i) {

@@ -60,7 +60,6 @@ class SymMatrix {
 enum class MinCutMethod { Exhaustive, Greedy, KernighanLin, Spectral, Auto };
 
 [[nodiscard]] std::string to_string(MinCutMethod method);
-[[nodiscard]] MinCutMethod parse_mincut_method(const std::string& name);
 
 /// Sum of weights crossing group boundaries (the objective to minimize).
 [[nodiscard]] double cut_weight(const SymMatrix& w, const Allocation& alloc);

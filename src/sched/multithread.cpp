@@ -47,7 +47,7 @@ Allocation MultiThreadAllocator::allocate(const std::vector<TaskProfile>& profil
       w.set(i, j, phase1[i] == phase1[j] ? kPinnedWeight : 0.0);
     }
   }
-  return balanced_min_cut(w, groups, method_, seed_);
+  return balanced_min_cut(w, groups, MinCutMethod::Auto, seed_);
 }
 
 }  // namespace symbiosis::sched

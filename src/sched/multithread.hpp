@@ -21,8 +21,7 @@ class MultiThreadAllocator final : public Allocator {
   /// entries, interference ≤ 1).
   static constexpr double kPinnedWeight = 1e12;
 
-  explicit MultiThreadAllocator(MinCutMethod method = MinCutMethod::Auto, std::uint64_t seed = 1)
-      : method_(method), seed_(seed) {}
+  explicit MultiThreadAllocator(std::uint64_t seed = 1) : seed_(seed) {}
 
   [[nodiscard]] std::string name() const override { return "multithread"; }
   [[nodiscard]] Allocation allocate(const std::vector<TaskProfile>& profiles,
@@ -34,7 +33,6 @@ class MultiThreadAllocator final : public Allocator {
       const std::vector<TaskProfile>& profiles, std::size_t groups);
 
  private:
-  MinCutMethod method_;
   std::uint64_t seed_;
 };
 

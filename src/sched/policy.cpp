@@ -67,15 +67,9 @@ std::unique_ptr<Allocator> make_allocator(const std::string& name, std::uint64_t
   if (name == "random") return std::make_unique<RandomAllocator>(seed);
   if (name == "miss-rate") return std::make_unique<MissRateAllocator>();
   if (name == "weight-sort") return std::make_unique<WeightSortAllocator>();
-  if (name == "graph") {
-    return std::make_unique<InterferenceGraphAllocator>(MinCutMethod::Auto, seed);
-  }
-  if (name == "weighted-graph") {
-    return std::make_unique<WeightedGraphAllocator>(MinCutMethod::Auto, seed);
-  }
-  if (name == "multithread") {
-    return std::make_unique<MultiThreadAllocator>(MinCutMethod::Auto, seed);
-  }
+  if (name == "graph") return std::make_unique<InterferenceGraphAllocator>(seed);
+  if (name == "weighted-graph") return std::make_unique<WeightedGraphAllocator>(seed);
+  if (name == "multithread") return std::make_unique<MultiThreadAllocator>(seed);
   throw std::invalid_argument("unknown allocator: " + name);
 }
 

@@ -1,7 +1,9 @@
 #include "sig/bitvector.hpp"
 
-#include "sig/kernels.hpp"
+#include <bit>
+
 #include "util/check.hpp"
+#include "util/hotpath.hpp"
 
 namespace symbiosis::sig {
 
@@ -30,42 +32,30 @@ void BitVector::reset() noexcept {
   for (auto& w : words_) w = 0;
 }
 
-std::size_t BitVector::popcount() const noexcept {
-  return kernels::ops().popcount(words_.data(), words_.size());
+SYM_HOT std::size_t BitVector::popcount() const noexcept {
+  std::size_t total = 0;
+  for (const std::uint64_t w : words_) total += static_cast<std::size_t>(std::popcount(w));
+  return total;
 }
 
-std::size_t BitVector::xor_popcount(const BitVector& other) const noexcept {
+SYM_HOT std::size_t BitVector::xor_popcount(const BitVector& other) const noexcept {
   SYM_DCHECK_EQ(bits_, other.bits_, "sig.bitvector") << "bit-vector width mismatch";
-  return kernels::ops().xor_popcount(words_.data(), other.words_.data(), words_.size());
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < words_.size(); ++i) {
+    total += static_cast<std::size_t>(std::popcount(words_[i] ^ other.words_[i]));
+  }
+  return total;
 }
 
-void BitVector::assign_and_not(const BitVector& a, const BitVector& b) noexcept {
+SYM_HOT void BitVector::assign_and_not(const BitVector& a, const BitVector& b) noexcept {
   SYM_DCHECK_EQ(bits_, a.bits_, "sig.bitvector") << "bit-vector width mismatch";
   SYM_DCHECK_EQ(bits_, b.bits_, "sig.bitvector") << "bit-vector width mismatch";
-  kernels::ops().and_not(words_.data(), a.words_.data(), b.words_.data(), words_.size());
+  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] = a.words_[i] & ~b.words_[i];
 }
 
 void BitVector::assign(const BitVector& other) noexcept {
   SYM_DCHECK_EQ(bits_, other.bits_, "sig.bitvector") << "bit-vector width mismatch";
   words_ = other.words_;
-}
-
-BitVector& BitVector::operator|=(const BitVector& other) noexcept {
-  SYM_DCHECK_EQ(bits_, other.bits_, "sig.bitvector") << "bit-vector width mismatch";
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  return *this;
-}
-
-BitVector& BitVector::operator&=(const BitVector& other) noexcept {
-  SYM_DCHECK_EQ(bits_, other.bits_, "sig.bitvector") << "bit-vector width mismatch";
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-  return *this;
-}
-
-BitVector& BitVector::operator^=(const BitVector& other) noexcept {
-  SYM_DCHECK_EQ(bits_, other.bits_, "sig.bitvector") << "bit-vector width mismatch";
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= other.words_[i];
-  return *this;
 }
 
 double BitVector::fill_ratio() const noexcept {

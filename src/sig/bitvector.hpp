@@ -2,8 +2,10 @@
 //
 // The signature hardware is specified as flat bit arrays with parallel
 // bitwise logic (§5.4: "parallel bitwise XOR gates"). BitVector provides the
-// word-parallel equivalents the model needs: popcount, XOR-popcount,
-// AND-NOT (the RBV derivation CF ∧ ¬LF), and saturation queries.
+// per-word equivalents the model needs: popcount, XOR-popcount, AND-NOT
+// (the RBV derivation CF ∧ ¬LF), and saturation queries. They are scalar
+// word loops: the signature unit is read only at context switches, so they
+// run a few hundred times per simulated round (DESIGN.md §15).
 #pragma once
 
 #include <cstddef>
@@ -12,7 +14,7 @@
 
 namespace symbiosis::sig {
 
-/// Fixed-size dense bit vector with word-parallel set operations.
+/// Fixed-size dense bit vector with per-word set operations.
 class BitVector {
  public:
   BitVector() = default;
@@ -41,20 +43,12 @@ class BitVector {
   /// Copy assignment of contents (sizes must match); models the LF snapshot.
   void assign(const BitVector& other) noexcept;
 
-  /// In-place OR / AND / XOR (sizes must match).
-  BitVector& operator|=(const BitVector& other) noexcept;
-  BitVector& operator&=(const BitVector& other) noexcept;
-  BitVector& operator^=(const BitVector& other) noexcept;
-
   [[nodiscard]] bool operator==(const BitVector& other) const noexcept = default;
 
   /// Fraction of bits set, in [0, 1]; a value near 1 means the filter is
   /// saturated and carries little information (the presence-bits failure
   /// mode of §5.3).
   [[nodiscard]] double fill_ratio() const noexcept;
-
-  /// Raw words for serialization / tests.
-  [[nodiscard]] const std::vector<std::uint64_t>& words() const noexcept { return words_; }
 
  private:
   std::size_t bits_ = 0;

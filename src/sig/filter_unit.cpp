@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "sig/kernels.hpp"
 #include "util/check.hpp"
 #include "util/hotpath.hpp"
 
@@ -157,21 +156,8 @@ SYM_HOT void FilterUnit::symbiosis_all(const BitVector& rbv, std::size_t self_co
                                        std::size_t* out) const noexcept {
   SYM_DCHECK_BOUNDS(self_core, cf_.size(), "sig.filter");
   SYM_DCHECK_EQ(rbv.size(), counters_.size(), "sig.filter") << "RBV width != filter entries";
-  // Gather the per-core filter word pointers (LF for the self core, CF for
-  // the rest) in fixed-size chunks so the pointer table stays on the stack
-  // for any cluster width.
-  constexpr std::size_t kChunk = 64;
-  const std::uint64_t* ptrs[kChunk];
-  const std::uint64_t* rbv_words = rbv.words().data();
-  const std::size_t words = rbv.words().size();
-  for (std::size_t base = 0; base < cf_.size(); base += kChunk) {
-    const std::size_t n = std::min(kChunk, cf_.size() - base);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t core = base + i;
-      ptrs[i] = (core == self_core ? lf_[core] : cf_[core]).words().data();
-    }
-    // symhot: indirect(SIMD kernel table dispatch; the bound backend's kernels are SYM_HOT roots)
-    kernels::ops().xor_popcount_many(rbv_words, ptrs, n, words, out + base);
+  for (std::size_t c = 0; c < cf_.size(); ++c) {
+    out[c] = rbv.xor_popcount(c == self_core ? lf_[c] : cf_[c]);
   }
 }
 

@@ -91,12 +91,10 @@ class FilterUnit {
   /// the self-core case; see DESIGN.md.)
   [[nodiscard]] std::size_t self_symbiosis(const BitVector& rbv, std::size_t core) const noexcept;
 
-  /// Batched per-core symbiosis: one call per scheduling decision instead
-  /// of num_cores() separate ones. @p out (length num_cores()) receives
-  /// self_symbiosis(rbv, c) at c == @p self_core (the LF comparison — the
-  /// co-residents' footprint) and symbiosis(rbv, c) everywhere else. The
-  /// filter word pointers are gathered once and handed to the kernel
-  /// layer's xor_popcount_many (sig/kernels.hpp).
+  /// Every core's symbiosis in one call per context switch. @p out (length
+  /// num_cores()) receives self_symbiosis(rbv, c) at c == @p self_core (the
+  /// LF comparison — the co-residents' footprint) and symbiosis(rbv, c)
+  /// everywhere else.
   void symbiosis_all(const BitVector& rbv, std::size_t self_core,
                      std::size_t* out) const noexcept;
   /// Vector-returning convenience form (tests / diagnostics).

@@ -1,74 +1,9 @@
 #include "util/simd.hpp"
 
-#include <cstdlib>
-#include <string>
-
-#include "util/log.hpp"
-
 namespace symbiosis::util {
 
-std::string_view simd_backend_name(SimdBackend backend) noexcept {
-  switch (backend) {
-    case SimdBackend::Avx2:
-      return "avx2";
-    case SimdBackend::Neon:
-      return "neon";
-    case SimdBackend::Scalar:
-      break;
-  }
-  return "scalar";
-}
+std::string_view simd_backend_name(SimdBackend /*backend*/) noexcept { return "scalar"; }
 
-std::optional<SimdBackend> parse_simd_backend(std::string_view text) noexcept {
-  if (text == "scalar") return SimdBackend::Scalar;
-  if (text == "avx2") return SimdBackend::Avx2;
-  if (text == "neon") return SimdBackend::Neon;
-  return std::nullopt;
-}
-
-namespace {
-
-std::vector<SimdBackend> detect_backends() {
-  std::vector<SimdBackend> backends;
-#if defined(__x86_64__) || defined(_M_X64)
-  if (__builtin_cpu_supports("avx2")) backends.push_back(SimdBackend::Avx2);
-#endif
-#if defined(__aarch64__)
-  backends.push_back(SimdBackend::Neon);  // baseline on AArch64
-#endif
-  backends.push_back(SimdBackend::Scalar);
-  return backends;
-}
-
-SimdBackend choose_backend() {
-  const std::vector<SimdBackend>& available = available_simd_backends();
-  const char* env = std::getenv("SYMBIOSIS_SIMD");
-  if (env != nullptr && *env != '\0') {
-    const std::optional<SimdBackend> requested = parse_simd_backend(env);
-    if (!requested) {
-      SYMBIOSIS_LOG_WARN("SYMBIOSIS_SIMD=%s not recognised (scalar|avx2|neon); auto-detecting",
-                         env);
-    } else {
-      for (const SimdBackend backend : available) {
-        if (backend == *requested) return backend;
-      }
-      SYMBIOSIS_LOG_WARN("SYMBIOSIS_SIMD=%s unavailable on this CPU/build; using %s", env,
-                         std::string(simd_backend_name(available.front())).c_str());
-    }
-  }
-  return available.front();
-}
-
-}  // namespace
-
-const std::vector<SimdBackend>& available_simd_backends() {
-  static const std::vector<SimdBackend> kBackends = detect_backends();
-  return kBackends;
-}
-
-SimdBackend active_simd_backend() {
-  static const SimdBackend kActive = choose_backend();
-  return kActive;
-}
+SimdBackend active_simd_backend() noexcept { return SimdBackend::Scalar; }
 
 }  // namespace symbiosis::util

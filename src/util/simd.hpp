@@ -1,39 +1,22 @@
-// simd.hpp — runtime CPU-feature detection and SIMD backend selection.
+// simd.hpp — the SIMD backend name in perfbench's environment stamp.
 //
-// The signature kernels (sig/kernels.hpp) ship one implementation per
-// instruction set; one is picked at process start from what the CPU
-// supports, overridable with SYMBIOSIS_SIMD=scalar|avx2|neon for
-// differential testing and the CI backend matrix. The environment read
-// lives HERE because util is the sanctioned nondeterministic boundary
-// (symdet bans getenv in the deterministic modules) — and the knob never
-// changes results, only speed: every backend computes bit-identical
-// integer answers, which the differential suite pins down.
+// The signature word loops (sig/bitvector.cpp) are scalar std::popcount
+// loops: the signature unit is read only at context switches, so no vector
+// backend is compiled, detected or selectable (DESIGN.md §15). The one
+// backend stays named so a benchmark record says which code it timed.
 #pragma once
 
-#include <optional>
 #include <string_view>
-#include <vector>
 
 namespace symbiosis::util {
 
-/// Instruction-set families the kernel layer has implementations for.
-enum class SimdBackend { Scalar, Avx2, Neon };
+/// Instruction-set families the signature word loops are compiled for.
+enum class SimdBackend { Scalar };
 
-/// Lower-case name as used by SYMBIOSIS_SIMD and bench labels.
+/// Lower-case name as used in benchmark environment stamps.
 [[nodiscard]] std::string_view simd_backend_name(SimdBackend backend) noexcept;
 
-/// Parse a SYMBIOSIS_SIMD value ("scalar" | "avx2" | "neon"); nullopt for
-/// anything else (the caller warns and falls back to auto-detection).
-[[nodiscard]] std::optional<SimdBackend> parse_simd_backend(std::string_view text) noexcept;
-
-/// Backends compiled into this binary AND supported by this CPU, best
-/// first. Scalar is always present and always last.
-[[nodiscard]] const std::vector<SimdBackend>& available_simd_backends();
-
-/// The backend all kernel dispatch goes through: the SYMBIOSIS_SIMD
-/// override when set and available (unknown or unsupported values log a
-/// warning and fall back to auto-detection), else the best available.
-/// Decided once on first call and fixed for the process lifetime.
-[[nodiscard]] SimdBackend active_simd_backend();
+/// The backend the signature word loops run on.
+[[nodiscard]] SimdBackend active_simd_backend() noexcept;
 
 }  // namespace symbiosis::util

@@ -105,6 +105,12 @@ struct ScaleConfig {
   std::uint64_t line_bytes = 64;
 };
 
+/// @p n references scaled by @p scale.length_scale, at least 1: every
+/// profile's reference counts go through here. Throws std::invalid_argument,
+/// naming the value, unless length_scale is finite and > 0 and the scaled
+/// count fits in 64 bits.
+[[nodiscard]] std::uint64_t scaled_refs(double n, const ScaleConfig& scale);
+
 /// The paper's 12-program SPEC CPU2006 stand-in pool, in a fixed order.
 [[nodiscard]] const std::vector<std::string>& spec2006_pool();
 

@@ -55,10 +55,6 @@ PatternSpec pat(PatternKind kind, double region_bytes, const ScaleConfig& s) {
   return p;
 }
 
-std::uint64_t refs(double n, const ScaleConfig& s) {
-  return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(n * s.length_scale));
-}
-
 }  // namespace
 
 MtBenchmarkSpec make_parsec_benchmark(const std::string& name, const ScaleConfig& s) {
@@ -74,7 +70,7 @@ MtBenchmarkSpec make_parsec_benchmark(const std::string& name, const ScaleConfig
     b.share_prob = 0.1;
     b.compute_gap = 30.0;
     b.write_ratio = 0.2;
-    b.refs_per_thread = refs(200'000, s);
+    b.refs_per_thread = scaled_refs(200'000, s);
   } else if (name == "bodytrack") {
     // Computer vision: moderate shared model state.
     b.shared_pattern = pat(PatternKind::Zipf, 0.3 * l2, s);
@@ -83,7 +79,7 @@ MtBenchmarkSpec make_parsec_benchmark(const std::string& name, const ScaleConfig
     b.share_prob = 0.45;
     b.compute_gap = 15.0;
     b.write_ratio = 0.3;
-    b.refs_per_thread = refs(240'000, s);
+    b.refs_per_thread = scaled_refs(240'000, s);
   } else if (name == "canneal") {
     // Simulated annealing over a big netlist: the shared region dwarfs any
     // cache (hundreds of MB in the real program), so canneal misses
@@ -93,7 +89,7 @@ MtBenchmarkSpec make_parsec_benchmark(const std::string& name, const ScaleConfig
     b.share_prob = 0.8;
     b.compute_gap = 8.0;
     b.write_ratio = 0.35;
-    b.refs_per_thread = refs(260'000, s);
+    b.refs_per_thread = scaled_refs(260'000, s);
   } else if (name == "dedup") {
     // Pipeline compression: streams input privately, small shared hash.
     b.shared_pattern = pat(PatternKind::Zipf, 0.1 * l2, s);
@@ -101,7 +97,7 @@ MtBenchmarkSpec make_parsec_benchmark(const std::string& name, const ScaleConfig
     b.share_prob = 0.25;
     b.compute_gap = 8.0;
     b.write_ratio = 0.4;
-    b.refs_per_thread = refs(260'000, s);
+    b.refs_per_thread = scaled_refs(260'000, s);
   } else if (name == "ferret") {
     // Content-based search pipeline: the most cache-sensitive PARSEC model
     // (Fig 12: 10.1% max improvement) — its shared tables just fit the L2.
@@ -111,7 +107,7 @@ MtBenchmarkSpec make_parsec_benchmark(const std::string& name, const ScaleConfig
     b.share_prob = 0.55;
     b.compute_gap = 14.0;
     b.write_ratio = 0.25;
-    b.refs_per_thread = refs(250'000, s);
+    b.refs_per_thread = scaled_refs(250'000, s);
   } else if (name == "fluidanimate") {
     // Fluid dynamics: strided grid sweeps with halo sharing.
     b.shared_pattern = pat(PatternKind::Strided, 0.5 * l2, s);
@@ -120,7 +116,7 @@ MtBenchmarkSpec make_parsec_benchmark(const std::string& name, const ScaleConfig
     b.share_prob = 0.5;
     b.compute_gap = 14.0;
     b.write_ratio = 0.35;
-    b.refs_per_thread = refs(240'000, s);
+    b.refs_per_thread = scaled_refs(240'000, s);
   } else if (name == "streamcluster") {
     // Online clustering: streams points, hot shared centers.
     b.shared_pattern = pat(PatternKind::Zipf, 0.08 * l2, s);
@@ -129,7 +125,7 @@ MtBenchmarkSpec make_parsec_benchmark(const std::string& name, const ScaleConfig
     b.share_prob = 0.3;
     b.compute_gap = 7.0;
     b.write_ratio = 0.2;
-    b.refs_per_thread = refs(260'000, s);
+    b.refs_per_thread = scaled_refs(260'000, s);
   } else if (name == "swaptions") {
     // Monte-Carlo pricing: compute-bound, tiny state.
     b.shared_pattern = pat(PatternKind::Zipf, 0.03 * l2, s);
@@ -137,7 +133,7 @@ MtBenchmarkSpec make_parsec_benchmark(const std::string& name, const ScaleConfig
     b.share_prob = 0.15;
     b.compute_gap = 35.0;
     b.write_ratio = 0.2;
-    b.refs_per_thread = refs(200'000, s);
+    b.refs_per_thread = scaled_refs(200'000, s);
   } else {
     throw std::invalid_argument("unknown PARSEC model: " + name);
   }

@@ -32,17 +32,6 @@ void TraceReplayer::decode_one(ThreadState& ts) {
   }
 }
 
-void TraceReplayer::decode_phase() {
-  if (options_.pool != nullptr && threads_.size() > 1) {
-    // Decoding is per-thread-deterministic (cursor state only), so fanning
-    // it out cannot change what gets applied — only when it was decoded.
-    options_.pool->parallel_for(0, threads_.size(),
-                                [this](std::size_t t) { decode_one(threads_[t]); });
-    return;
-  }
-  for (auto& ts : threads_) decode_one(ts);
-}
-
 bool TraceReplayer::retire_sync(std::size_t t) {
   ThreadState& ts = threads_[t];
   ThreadReplayStats& stats = result_.threads[t];
@@ -183,7 +172,7 @@ ReplayResult TraceReplayer::run() {
     for (const auto& ts : threads_) all_done &= ts.exhausted();
     if (all_done) break;
 
-    decode_phase();
+    for (auto& ts : threads_) decode_one(ts);
     ++result_.rounds;
     bool progress = false;
     for (std::size_t t = 0; t < threads_.size(); ++t) progress |= visit(t);

@@ -19,11 +19,9 @@
 //
 // Because visits happen in a fixed order and each visit's effect depends
 // only on per-thread cursor state plus this sync state, the replay is
-// bit-identical regardless of how decoding is scheduled: the optional
-// ThreadPool parallelizes chunk DECODING only, application stays serial and
-// ordered. A round in which no thread makes progress while work remains is
-// a deadlocked (malformed) trace and raises a diagnostic naming every
-// blocked thread — never a hang.
+// deterministic. A round in which no thread makes progress while work
+// remains is a deadlocked (malformed) trace and raises a diagnostic naming
+// every blocked thread — never a hang.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +30,6 @@
 #include <vector>
 
 #include "cachesim/hierarchy.hpp"
-#include "util/threadpool.hpp"
 #include "workload/symt.hpp"
 
 namespace symbiosis::workload {
@@ -44,9 +41,6 @@ struct ReplayOptions {
   /// chunk sizes — not just equal traces — are what the determinism and
   /// differential suites compare.
   std::size_t chunk = 4096;
-  /// When set, chunk decoding fans out across the pool; replay application
-  /// order is unchanged (bit-identical to pool == nullptr).
-  util::ThreadPool* pool = nullptr;
 };
 
 /// Per-thread replay accounting.
@@ -101,7 +95,6 @@ class TraceReplayer {
   };
 
   void decode_one(ThreadState& ts);
-  void decode_phase();
   /// Apply thread @p t's pending work; returns true if it made progress.
   bool visit(std::size_t t);
   /// The hot half of visit(): drive @p ts's decoded chunk through

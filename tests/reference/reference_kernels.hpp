@@ -505,37 +505,4 @@ class ReferenceTwoLevelHierarchy {
   return n;
 }
 
-// --- raw-word references for the SIMD kernel layer (sig/kernels.hpp):
-// per-bit scans, no word tricks. Every compiled backend is differentially
-// tested against these on awkward widths by tests/test_kernels.cpp.
-
-[[nodiscard]] inline std::size_t naive_word_popcount(const std::uint64_t* words, std::size_t n) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (unsigned b = 0; b < 64; ++b) total += (words[i] >> b) & 1u;
-  }
-  return total;
-}
-
-[[nodiscard]] inline std::size_t naive_word_xor_popcount(const std::uint64_t* a,
-                                                         const std::uint64_t* b, std::size_t n) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (unsigned bit = 0; bit < 64; ++bit) total += ((a[i] ^ b[i]) >> bit) & 1u;
-  }
-  return total;
-}
-
-inline void naive_word_and_not(std::uint64_t* dst, const std::uint64_t* a, const std::uint64_t* b,
-                               std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t word = 0;
-    for (unsigned bit = 0; bit < 64; ++bit) {
-      const bool set = (((a[i] >> bit) & 1u) != 0) && (((b[i] >> bit) & 1u) == 0);
-      if (set) word |= std::uint64_t{1} << bit;
-    }
-    dst[i] = word;
-  }
-}
-
 }  // namespace symbiosis::testref

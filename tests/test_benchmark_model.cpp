@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
+
+#include "workload/parsec_model.hpp"
 
 namespace symbiosis::workload {
 namespace {
@@ -96,6 +100,28 @@ TEST(SpecModels, LengthScaleScalesRefs) {
 
 TEST(SpecModels, UnknownNameThrows) {
   EXPECT_THROW(make_spec_benchmark("quake3"), std::invalid_argument);
+}
+
+TEST(ScaleConfig, BadLengthScaleThrowsNamingIt) {
+  // Not finite and positive, or scaling a count past 2^64: the cast to
+  // uint64_t would be undefined (and wrap to ~2^64 references in practice).
+  for (const double bad : {-1.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 1e30}) {
+    ScaleConfig scale;
+    scale.length_scale = bad;
+    for (const bool parsec : {false, true}) {
+      try {
+        if (parsec) {
+          (void)make_parsec_benchmark("ferret", scale);
+        } else {
+          (void)make_spec_benchmark("mcf", scale);
+        }
+        ADD_FAILURE() << "length_scale " << bad << " accepted (parsec=" << parsec << ")";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("length_scale"), std::string::npos) << e.what();
+      }
+    }
+  }
 }
 
 TEST(Workload, PhasesCycle) {

@@ -52,9 +52,9 @@ TEST(BitVector, XorPopcountMatchesMaterialized) {
     a.set(rng.next_below(257));
     b.set(rng.next_below(257));
   }
-  BitVector x = a;
-  x ^= b;
-  EXPECT_EQ(a.xor_popcount(b), x.popcount());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) differing += a.test(i) != b.test(i);
+  EXPECT_EQ(a.xor_popcount(b), differing);
   EXPECT_EQ(a.xor_popcount(b), b.xor_popcount(a));  // symmetry
   EXPECT_EQ(a.xor_popcount(a), 0u);
 }
@@ -66,24 +66,6 @@ TEST(BitVector, AssignSnapshots) {
   EXPECT_TRUE(lf.test(7));
   cf.set(8);  // later CF changes must not leak into the snapshot
   EXPECT_FALSE(lf.test(8));
-}
-
-TEST(BitVector, InPlaceOps) {
-  BitVector a(16), b(16);
-  a.set(0);
-  a.set(1);
-  b.set(1);
-  b.set(2);
-  BitVector o = a;
-  o |= b;
-  EXPECT_EQ(o.popcount(), 3u);
-  BitVector n = a;
-  n &= b;
-  EXPECT_EQ(n.popcount(), 1u);
-  EXPECT_TRUE(n.test(1));
-  BitVector x = a;
-  x ^= b;
-  EXPECT_EQ(x.popcount(), 2u);
 }
 
 TEST(BitVector, FillRatio) {
@@ -128,10 +110,11 @@ TEST(BitVector, Equality) {
 }
 
 // --- awkward-width property tests -----------------------------------------
-// The word-parallel kernels special-case the final partial word; every width
-// class around the 64-bit boundary gets a randomized workout against a
-// std::vector<bool> model. Width 0 is ops-free (set/clear on an empty vector
-// are out of bounds by contract) but must still compare and count cleanly.
+// The word loops count whole words, so the final partial word must hold no
+// stray bits; every width class around the 64-bit boundary gets a randomized
+// workout against a std::vector<bool> model. Width 0 is ops-free (set/clear
+// on an empty vector are out of bounds by contract) but must still compare
+// and count cleanly.
 
 TEST(BitVector, ZeroWidthIsWellBehaved) {
   BitVector a(0), b(0);
@@ -186,27 +169,6 @@ TEST(BitVector, AwkwardWidthsMatchBoolVectorModel) {
     BitVector full(n);
     full.assign(v);
     EXPECT_EQ(full, v);
-  }
-}
-
-TEST(BitVector, AwkwardWidthInPlaceOpsMatchModel) {
-  util::Rng rng(19);
-  for (const std::size_t n : {1ul, 63ul, 64ul, 65ul, 4095ul}) {
-    BitVector a(n), b(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (rng.next_bool(0.4)) a.set(j);
-      if (rng.next_bool(0.4)) b.set(j);
-    }
-    BitVector o = a, x = a, d = a;
-    o |= b;
-    x ^= b;
-    d &= b;
-    for (std::size_t j = 0; j < n; ++j) {
-      ASSERT_EQ(o.test(j), a.test(j) || b.test(j)) << "width " << n << " bit " << j;
-      ASSERT_EQ(x.test(j), a.test(j) != b.test(j)) << "width " << n << " bit " << j;
-      ASSERT_EQ(d.test(j), a.test(j) && b.test(j)) << "width " << n << " bit " << j;
-    }
-    EXPECT_EQ(a.xor_popcount(b), x.popcount()) << "width " << n;
   }
 }
 

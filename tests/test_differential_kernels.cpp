@@ -319,7 +319,7 @@ void run_filter_differential(const sig::FilterUnitConfig& config, std::uint64_t 
         ASSERT_EQ(opt.self_symbiosis(rbv, c),
                   testref::ReferenceFilterUnit::sym_diff(ref.rbv(c), ref.lf(c)))
             << "event " << i;
-        // The batched one-pass evaluation must agree with the per-core calls.
+        // symbiosis_all must agree with the per-core calls.
         const std::vector<std::size_t> batched = opt.symbiosis_all(rbv, c);
         ASSERT_EQ(batched.size(), config.num_cores);
         for (std::size_t o = 0; o < config.num_cores; ++o) {

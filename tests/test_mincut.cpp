@@ -145,14 +145,5 @@ TEST(MinCut, DegenerateUniformGraphStillBalances) {
   }
 }
 
-TEST(MinCut, MethodNameRoundTrip) {
-  for (const auto method : {MinCutMethod::Exhaustive, MinCutMethod::Greedy,
-                            MinCutMethod::KernighanLin, MinCutMethod::Spectral,
-                            MinCutMethod::Auto}) {
-    EXPECT_EQ(parse_mincut_method(to_string(method)), method);
-  }
-  EXPECT_THROW((void)parse_mincut_method("magic"), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace symbiosis::sched

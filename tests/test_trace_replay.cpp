@@ -2,7 +2,6 @@
 //
 // Pins the fast chunked replayer (workload/replayer.hpp) to:
 //   * the naive reference replayer, at chunk sizes 1/7/64/1000;
-//   * itself under parallel decoding (serial ≡ 1/2/8-worker ThreadPool);
 //   * direct synthetic generation (generator → .symt → replay bit-identical
 //     to replay_generated, for every pool benchmark);
 //   * deterministic re-replay (identical ReplayResult and identical
@@ -22,7 +21,6 @@
 #include "machine/machine.hpp"
 #include "obs/json.hpp"
 #include "reference/reference_replayer.hpp"
-#include "util/threadpool.hpp"
 #include "workload/trace_source.hpp"
 
 namespace symbiosis::workload {
@@ -98,25 +96,6 @@ TEST_P(ReplayChunks, FastMatchesReferenceBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Chunks, ReplayChunks, testing::Values<std::size_t>(1, 7, 64, 1000));
 
-TEST(Replay, SerialAndParallelDecodingBitIdentical) {
-  const SymtTrace trace = make_sync_trace(500);
-  ReplayOptions serial_options;
-  serial_options.chunk = 128;
-  cachesim::Hierarchy serial_h = fresh_hierarchy();
-  const ReplayResult serial = replay_trace(trace, serial_h, serial_options);
-
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    util::ThreadPool pool(workers);
-    ReplayOptions options;
-    options.chunk = 128;
-    options.pool = &pool;
-    cachesim::Hierarchy h = fresh_hierarchy();
-    const ReplayResult parallel = replay_trace(trace, h, options);
-    EXPECT_EQ(parallel, serial) << workers << " workers";
-    EXPECT_EQ(h.l2_footprint(0), serial_h.l2_footprint(0)) << workers << " workers";
-  }
-}
-
 TEST(Replay, GeneratorRoundTripBitIdenticalForEveryPoolBenchmark) {
   // generator → .symt → replay must equal direct generation, per benchmark.
   for (const std::string& name : spec2006_pool()) {
@@ -170,8 +149,8 @@ TEST(Replay, ReplayTwiceIsDeterministic) {
   const ReplayResult b = one_run();
   EXPECT_EQ(a, b);
 
-  const obs::Json report_a = core::build_trace_replay_report(config, "x.symt", stats, a, 512, 0);
-  const obs::Json report_b = core::build_trace_replay_report(config, "x.symt", stats, b, 512, 0);
+  const obs::Json report_a = core::build_trace_replay_report(config, "x.symt", stats, a, 512);
+  const obs::Json report_b = core::build_trace_replay_report(config, "x.symt", stats, b, 512);
   EXPECT_TRUE(core::validate_report(report_a).empty());
   const auto diff = obs::json_diff(report_a, report_b, {"timings", "metrics"});
   EXPECT_TRUE(diff.empty()) << (diff.empty() ? "" : diff.front());
