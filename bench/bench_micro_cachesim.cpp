@@ -138,6 +138,41 @@ void BM_ClusteredHierarchyBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusteredHierarchyBatch)->Arg(64)->Arg(1024);
 
+void BM_PartitionedL3Batch(benchmark::State& state) {
+  // Trace replay's machine (perfbench's replay_hierarchy): 8 cores in 4
+  // clusters of 256 KiB L2s over a 1 MiB SRRIP L3 way-partitioned 4 ways
+  // per cluster. Each core replays its own ring in a disjoint address range
+  // and the cores take turns, so every L3 line has one sharer cluster.
+  cachesim::HierarchyConfig cfg;
+  cfg.num_cores = 8;
+  cfg.l1 = {8 * 1024, 8, 64};
+  cfg.l2 = {256 * 1024, 16, 64};
+  cfg.l2_clusters = 4;
+  cfg.l3 = cachesim::CacheGeometry{1024 * 1024, 16, 64};
+  cfg.l3_replacement = cachesim::ReplacementKind::Srrip;
+  cfg.l3_way_partition.ways_per_group = {4, 4, 4, 4};
+  cachesim::Hierarchy h(cfg);
+  util::Rng rng(2);
+  constexpr std::size_t kRing = 1 << 14;
+  std::vector<std::vector<cachesim::MemRef>> refs(cfg.num_cores);
+  for (std::size_t core = 0; core < refs.size(); ++core) {
+    refs[core].resize(kRing);
+    const cachesim::Addr base = static_cast<cachesim::Addr>(core + 1) << 40;
+    for (auto& ref : refs[core]) ref = {base + rng.next_below(1 << 22), rng.next_bool(0.3)};
+  }
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  std::size_t pos = 0;
+  std::size_t core = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(h.access_batch(core, refs[core].data() + pos, batch));
+    core = (core + 1) % cfg.num_cores;
+    if (core == 0) pos = pos + 2 * batch > kRing ? 0 : pos + batch;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_PartitionedL3Batch)->Arg(64);
+
 void BM_MachineStep(benchmark::State& state) {
   machine::MachineConfig cfg = machine::core2duo_config();
   machine::Machine m(cfg);

@@ -1,5 +1,7 @@
 #include "cachesim/hierarchy.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,6 +13,16 @@
 namespace symbiosis::cachesim {
 
 namespace {
+
+/// @p bytes in the largest unit, up to @p max_unit ("MiB" or "KiB"), that
+/// holds it whole: a 1.5 MiB cache reads 1536KiB, never a truncated 1MiB.
+std::string size_label(std::size_t bytes, std::string_view max_unit) {
+  if (max_unit == "MiB" && bytes % (1024 * 1024) == 0) {
+    return std::to_string(bytes / (1024 * 1024)) + "MiB";
+  }
+  if (bytes % 1024 == 0) return std::to_string(bytes / 1024) + "KiB";
+  return std::to_string(bytes) + "B";
+}
 
 /// One shared level's partition against that level's associativity.
 void validate_partition(const CachePartition& partition, std::size_t groups, std::size_t ways,
@@ -54,14 +66,14 @@ std::string HierarchyConfig::describe() const {
   std::ostringstream out;
   out << num_cores << " cores / ";
   if (!shared_l2) {
-    out << "private " << (l2.size_bytes / 1024) << "KiB L2s";
+    out << "private " << size_label(l2.size_bytes, "KiB") << " L2s";
   } else {
-    out << clusters() << "x" << (l2.size_bytes / 1024) << "KiB "
+    out << clusters() << "x" << size_label(l2.size_bytes, "KiB") << " "
         << (clusters() == 1 ? "shared L2" : "cluster L2");
   }
   if (l2_way_partition.enabled()) out << " (way-partitioned)";
   if (l3) {
-    out << " / " << (l3->size_bytes / (1024 * 1024)) << "MiB shared L3";
+    out << " / " << size_label(l3->size_bytes, "MiB") << " shared L3";
     if (l3_way_partition.enabled()) out << " (way-partitioned)";
   }
   return out.str();
@@ -104,6 +116,7 @@ Hierarchy::Hierarchy(HierarchyConfig config) : config_(std::move(config)) {
   if (config_.l3) {
     l3_ = std::make_unique<Cache>(*config_.l3, config_.l3_replacement, clusters_,
                                   config_.seed + 50021);
+    l3_sharers_.assign(config_.l3->lines(), 0);
     if (config_.l3_way_partition.enabled()) {
       std::vector<std::size_t> group_of(clusters_);
       for (std::size_t i = 0; i < clusters_; ++i) group_of[i] = i;
@@ -193,22 +206,18 @@ SYM_HOT MemAccessResult Hierarchy::access_one(std::size_t core, std::size_t clus
   if (l3_) {
     const AccessResult l3r = l3_->access(line, is_write, cluster);
     result.cycles += config_.latency.l3_hit;
+    const std::size_t slot = l3r.set * config_.l3->ways + l3r.way;
+    SYM_DCHECK_BOUNDS(slot, l3_sharers_.size(), "cachesim.bounds");
+    const std::uint64_t self = std::uint64_t{1} << (cluster & 63);
     if (l3r.hit) {
+      l3_sharers_[slot] |= self;
       result.l3_hit = true;
       return result;
     }
-    if (l3r.evicted) {
-      // Inclusive L3: back-invalidate the displaced line from every L2 (and
-      // its shadowing filter) and every L1.
-      for (std::size_t cl = 0; cl < l2_.size(); ++cl) {
-        std::size_t vset = 0;
-        std::size_t vway = 0;
-        if (l2_[cl]->invalidate(l3r.victim_line, vset, vway) && !filters_.empty()) {
-          filters_[cl]->on_evict(l3r.victim_line, vset, vway);
-        }
-      }
-      for (auto& other : l1_) other->invalidate(l3r.victim_line);
-    }
+    // Inclusive L3: the displaced line leaves the L2s its sharer mask
+    // names; the fill then hands the slot to this cluster alone.
+    if (l3r.evicted) back_invalidate(l3r.victim_line, l3_sharers_[slot]);
+    l3_sharers_[slot] = self;
   }
 
   if (streaming) {
@@ -218,6 +227,21 @@ SYM_HOT MemAccessResult Hierarchy::access_one(std::size_t core, std::size_t clus
     result.cycles += config_.latency.memory;
   }
   return result;
+}
+
+void Hierarchy::back_invalidate(LineAddr victim, std::uint64_t sharers) {
+  while (sharers != 0) {
+    const auto bit = static_cast<std::size_t>(std::countr_zero(sharers));
+    sharers &= sharers - 1;
+    for (std::size_t cl = bit; cl < clusters_; cl += 64) {
+      std::size_t vset = 0;
+      std::size_t vway = 0;
+      if (!l2_[cl]->invalidate(victim, vset, vway)) continue;
+      if (!filters_.empty()) filters_[cl]->on_evict(victim, vset, vway);
+      const std::size_t base = cl * cores_per_cluster_;
+      for (std::size_t c = base; c < base + cores_per_cluster_; ++c) l1_[c]->invalidate(victim);
+    }
+  }
 }
 
 SYM_HOT MemAccessResult Hierarchy::access(std::size_t core, Addr addr, bool is_write) {
@@ -346,6 +370,7 @@ void Hierarchy::reset() {
   for (auto& l1 : l1_) l1->reset();
   for (auto& l2 : l2_) l2->reset();
   if (l3_) l3_->reset();
+  std::fill(l3_sharers_.begin(), l3_sharers_.end(), std::uint64_t{0});
   for (auto& tlb : tlb_) tlb->flush();
   for (auto& filter : filters_) filter->reset();
   for (auto& ss : stream_) ss = StreamState{};

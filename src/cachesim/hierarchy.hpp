@@ -79,7 +79,7 @@ struct HierarchyConfig {
   /// one L2 (1 = the legacy single shared L2). Must stay 1 when !shared_l2.
   std::size_t l2_clusters = 1;
   /// Optional shared last-level cache below every cluster L2 (inclusive:
-  /// an L3 eviction back-invalidates the line from all L2s and L1s).
+  /// an L3 eviction back-invalidates the line from every L2 and L1 above).
   std::optional<CacheGeometry> l3;
   ReplacementKind l3_replacement = ReplacementKind::Srrip;
   /// CAT-style way partitions of the shared levels (empty = unpartitioned):
@@ -287,12 +287,27 @@ class Hierarchy {
   void record_l2_eviction(LineAddr victim_line, std::size_t set, std::size_t way,
                           std::size_t core);
 
+  /// Inclusive-L3 back-invalidation of @p victim from the clusters named by
+  /// @p sharers (the victim's sharer mask, see l3_sharers_): each such L2
+  /// drops the line and its filter observes the kill; a cluster's L1s are
+  /// probed only when its L2 held the line, since every L1 stays a subset
+  /// of its cluster's L2. Kept out of line so the L1/L2 path of
+  /// access_one() compiles the same with or without an L3.
+  [[gnu::noinline]] void back_invalidate(LineAddr victim, std::uint64_t sharers);
+
   HierarchyConfig config_;
   std::size_t clusters_ = 1;
   std::size_t cores_per_cluster_ = 1;
   std::vector<std::unique_ptr<Cache>> l1_;
   std::vector<std::unique_ptr<Cache>> l2_;  // one per cluster
   std::unique_ptr<Cache> l3_;               // null on topologies without an L3
+  /// One sharer mask per L3 line (index set * ways + way): bit c & 63 is
+  /// set when cluster c may hold the line in its L2. A fill by c sets it to
+  /// bit c, a hit by c ORs bit c in, and a silent L2 eviction leaves it, so
+  /// the mask is a superset of the L2s holding the line (a shape with more
+  /// than 64 clusters aliases cluster c onto c + 64, c + 128, ...). Sized
+  /// once at construction; empty without an L3.
+  std::vector<std::uint64_t> l3_sharers_;
   std::vector<std::unique_ptr<Tlb>> tlb_;
   std::vector<std::unique_ptr<sig::FilterUnit>> filters_;  // one per cluster; empty = disabled
 

@@ -491,6 +491,153 @@ class ReferenceTwoLevelHierarchy {
   std::vector<Stream> stream_;
 };
 
+/// Naive model of the three-tier graph: per-core L1s over per-cluster L2s
+/// (each shadowed by its own signature unit with cluster-local core slots)
+/// over one shared inclusive L3, with both way partitions. An L3 eviction
+/// back-invalidates by BROADCAST: every L2 (its filter observing the kill)
+/// and every L1 — the plain inclusion rule that Hierarchy's per-line sharer
+/// masks must reproduce exactly. @p config must have an L3.
+class ReferenceThreeLevelHierarchy {
+ public:
+  explicit ReferenceThreeLevelHierarchy(const cachesim::HierarchyConfig& config)
+      : config_(config),
+        cores_per_cluster_(config.cores_per_cluster()),
+        l3_(config.l3.value(), config.l3_replacement, config.clusters(), config.seed + 50021) {
+    for (std::size_t c = 0; c < config.num_cores; ++c) {
+      l1_.emplace_back(config.l1, config.l1_replacement, 1, config.seed + 101 * c);
+      tlb_.emplace_back(config.tlb_entries);
+    }
+    std::vector<std::size_t> local_slot(config.num_cores);
+    for (std::size_t c = 0; c < config.num_cores; ++c) local_slot[c] = c % cores_per_cluster_;
+    for (std::size_t i = 0; i < config.clusters(); ++i) {
+      l2_.emplace_back(config.l2, config.l2_replacement, config.num_cores, config.seed + 977 * i);
+      if (config.l2_way_partition.enabled()) {
+        l2_.back().set_partition(config.l2_way_partition, local_slot);
+      }
+    }
+    if (config.l3_way_partition.enabled()) {
+      std::vector<std::size_t> cluster_group(config.clusters());
+      for (std::size_t i = 0; i < cluster_group.size(); ++i) cluster_group[i] = i;
+      l3_.set_partition(config.l3_way_partition, cluster_group);
+    }
+    if (config.signature.enabled && config.shared_l2) {
+      sig::FilterUnitConfig fc;
+      fc.num_cores = cores_per_cluster_;
+      fc.cache_sets = config.l2.sets();
+      fc.cache_ways = config.l2.ways;
+      fc.counter_bits = config.signature.counter_bits;
+      fc.hash_functions = config.signature.hash_functions;
+      fc.hash = config.signature.hash;
+      fc.sample_shift = config.signature.sample_shift;
+      filters_.assign(config.clusters(), ReferenceFilterUnit(fc));
+    }
+    stream_.resize(config.num_cores);
+  }
+
+  cachesim::MemAccessResult access(std::size_t core, cachesim::Addr addr, bool is_write) {
+    cachesim::MemAccessResult result;
+    const cachesim::LineAddr line = config_.l1.line_of(addr);
+    const std::size_t cluster = core / cores_per_cluster_;
+
+    result.tlb_hit = tlb_[core].access(addr);
+    if (!result.tlb_hit) result.cycles += config_.latency.tlb_miss;
+
+    Stream& ss = stream_[core];
+    const auto stride =
+        static_cast<std::int64_t>(line) - static_cast<std::int64_t>(ss.last_line);
+    const bool streaming =
+        ss.valid && stride == ss.last_stride && stride != 0 && stride >= -8 && stride <= 8;
+    ss.last_stride = stride;
+    ss.last_line = line;
+    ss.valid = true;
+
+    const cachesim::AccessResult l1r = l1_[core].access(line, is_write, 0);
+    result.cycles += config_.latency.l1_hit;
+    if (l1r.hit) {
+      result.l1_hit = true;
+      return result;
+    }
+
+    const cachesim::AccessResult l2r = l2_[cluster].access(line, is_write, core);
+    result.cycles += config_.latency.l2_hit;
+    if (l2r.hit) {
+      result.l2_hit = true;
+      return result;
+    }
+    if (l2r.evicted) {
+      // Inclusion within the cluster: its L1s drop the L2's victim.
+      for (std::size_t c = 0; c < config_.num_cores; ++c) {
+        if (c / cores_per_cluster_ == cluster) l1_[c].invalidate(l2r.victim_line);
+      }
+      if (!filters_.empty()) filters_[cluster].on_evict(l2r.victim_line, l2r.set, l2r.way);
+    }
+    if (!filters_.empty()) {
+      filters_[cluster].on_fill(line, core % cores_per_cluster_, l2r.set, l2r.way);
+    }
+
+    const cachesim::AccessResult l3r = l3_.access(line, is_write, cluster);
+    result.cycles += config_.latency.l3_hit;
+    if (l3r.hit) {
+      result.l3_hit = true;
+      return result;
+    }
+    if (l3r.evicted) {
+      std::size_t holders = 0;
+      for (std::size_t cl = 0; cl < l2_.size(); ++cl) {
+        std::size_t set = 0;
+        std::size_t way = 0;
+        if (!l2_[cl].invalidate(l3r.victim_line, set, way)) continue;
+        ++holders;
+        if (!filters_.empty()) filters_[cl].on_evict(l3r.victim_line, set, way);
+      }
+      for (ReferenceCache& l1 : l1_) l1.invalidate(l3r.victim_line);
+      if (holders > 1) ++multi_holder_evictions_;
+    }
+
+    if (streaming) {
+      result.stream_prefetched = true;
+      result.cycles += config_.latency.stream_miss;
+    } else {
+      result.cycles += config_.latency.memory;
+    }
+    return result;
+  }
+
+  void on_context_switch_in(std::size_t core) {
+    tlb_[core].flush();
+    if (!filters_.empty()) filters_[core / cores_per_cluster_].snapshot(core % cores_per_cluster_);
+  }
+
+  [[nodiscard]] ReferenceCache& l1(std::size_t core) { return l1_[core]; }
+  [[nodiscard]] ReferenceCache& cluster_l2(std::size_t cluster) { return l2_[cluster]; }
+  [[nodiscard]] ReferenceCache& l3() { return l3_; }
+  [[nodiscard]] ReferenceTlb& tlb(std::size_t core) { return tlb_[core]; }
+  /// Cluster @p cluster's signature unit; nullptr when the machine has none.
+  [[nodiscard]] ReferenceFilterUnit* filter(std::size_t cluster) {
+    return filters_.empty() ? nullptr : &filters_[cluster];
+  }
+  /// L3 evictions whose victim sat in more than one L2 at once: nonzero
+  /// proves a trace exercised multi-cluster sharing.
+  [[nodiscard]] std::size_t multi_holder_evictions() const { return multi_holder_evictions_; }
+
+ private:
+  struct Stream {
+    cachesim::LineAddr last_line = 0;
+    std::int64_t last_stride = 0;
+    bool valid = false;
+  };
+
+  cachesim::HierarchyConfig config_;
+  std::size_t cores_per_cluster_;
+  std::vector<ReferenceCache> l1_;
+  std::vector<ReferenceCache> l2_;
+  ReferenceCache l3_;
+  std::vector<ReferenceTlb> tlb_;
+  std::vector<ReferenceFilterUnit> filters_;
+  std::vector<Stream> stream_;
+  std::size_t multi_holder_evictions_ = 0;
+};
+
 /// Per-bit reference popcounts over BitVector (no word tricks).
 [[nodiscard]] inline std::size_t naive_popcount(const sig::BitVector& v) {
   std::size_t n = 0;

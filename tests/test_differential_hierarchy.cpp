@@ -8,8 +8,12 @@
 // optimised Hierarchy and through testref::ReferenceTwoLevelHierarchy, the
 // deliberately naive model of the legacy semantics, and requires every
 // MemAccessResult field, cache counter, TLB counter and signature-filter
-// state to agree exactly. It also pins SRRIP against its naive model and
-// proves batched replay chunk-size-invariant on a full 3-level topology.
+// state to agree exactly. Three-level shapes (clustered L2s, private L2s
+// and eight clusters, each under an inclusive L3) are replayed the same way
+// against testref::ReferenceThreeLevelHierarchy, whose L3 evictions
+// back-invalidate by broadcast where Hierarchy follows per-line sharer
+// masks. It also pins SRRIP against its naive model and proves batched
+// replay chunk-size-invariant on a full 3-level topology.
 //
 // Runs under the plain, asan-ubsan and tsan presets (part of
 // symbiosis_tests); the TopologyMatrix cases are additionally registered
@@ -18,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "cachesim/cache.hpp"
@@ -281,6 +286,259 @@ TEST(DifferentialHierarchy, BatchChunkSizesMatchSerialReplayOnThreeLevels) {
     for (const char* level : {"l1", "l2", "l3"}) {
       EXPECT_EQ(batched.level_stats(level), serial.level_stats(level))
           << "chunk " << chunk << " level " << level;
+    }
+  }
+}
+
+// --- three-level shapes vs the broadcast reference -------------------------
+
+/// Interleaved multi-core traffic for a three-level machine. Each burst of
+/// 1-8 accesses belongs to one random core: a unit-stride run through the
+/// core's own address space (arming the stream detector) or random accesses, 30%
+/// of them to one 1 KiB region every core shares — so L3 lines collect
+/// several sharer clusters and often leave the L3 while several L2s hold
+/// them — and the rest to the core's own 32 KiB region, half within a
+/// 1 KiB hot set that keeps L1/L2/L3 hits coming.
+class ThreeLevelTraffic {
+ public:
+  ThreeLevelTraffic(std::size_t cores, std::uint64_t seed) : rng_(seed), run_(cores, 0) {}
+
+  struct Access {
+    std::size_t core = 0;
+    cachesim::Addr addr = 0;
+    bool is_write = false;
+  };
+
+  Access next() {
+    if (left_ == 0) {
+      core_ = static_cast<std::size_t>(rng_.next_below(run_.size()));
+      left_ = 1 + static_cast<std::size_t>(rng_.next_below(8));
+      striding_ = rng_.next_bool(0.15);
+    }
+    --left_;
+    const cachesim::Addr own = static_cast<cachesim::Addr>(core_ + 1) << 32;
+    Access a;
+    a.core = core_;
+    a.is_write = rng_.next_bool(0.3);
+    if (striding_) {
+      a.addr = own + (run_[core_]++ % 2048) * 64;
+    } else if (rng_.next_bool(0.3)) {
+      a.addr = (cachesim::Addr{1} << 40) + rng_.next_below(1024);
+    } else {
+      a.addr = own + rng_.next_below(rng_.next_bool(0.5) ? 1024 : 32 * 1024);
+    }
+    return a;
+  }
+
+ private:
+  util::Rng rng_;
+  std::vector<std::uint64_t> run_;
+  std::size_t core_ = 0;
+  std::size_t left_ = 0;
+  bool striding_ = false;
+};
+
+/// Every cache of @p opt and @p ref agrees on the presence of every line in
+/// @p lines, and every cluster filter on its counters, CFs and LFs.
+void expect_three_level_state_eq(cachesim::Hierarchy& opt,
+                                 testref::ReferenceThreeLevelHierarchy& ref,
+                                 const std::set<cachesim::LineAddr>& lines, std::size_t at) {
+  for (const cachesim::LineAddr line : lines) {
+    for (std::size_t core = 0; core < opt.num_cores(); ++core) {
+      ASSERT_EQ(opt.l1(core).probe(line), ref.l1(core).probe(line))
+          << "L1 of core " << core << ", line " << line << ", after access " << at;
+    }
+    for (std::size_t cl = 0; cl < opt.num_clusters(); ++cl) {
+      ASSERT_EQ(opt.cluster_l2(cl).probe(line), ref.cluster_l2(cl).probe(line))
+          << "L2 of cluster " << cl << ", line " << line << ", after access " << at;
+    }
+    ASSERT_EQ(opt.l3().probe(line), ref.l3().probe(line))
+        << "L3, line " << line << ", after access " << at;
+  }
+  for (std::size_t cl = 0; cl < opt.num_clusters(); ++cl) {
+    const sig::FilterUnit* got = opt.filter_for_core(cl * (opt.num_cores() / opt.num_clusters()));
+    testref::ReferenceFilterUnit* want = ref.filter(cl);
+    ASSERT_EQ(got == nullptr, want == nullptr) << "cluster " << cl;
+    if (got == nullptr) continue;
+    for (std::size_t e = 0; e < got->entries(); ++e) {
+      ASSERT_EQ(got->counter_at(e), want->counter_at(e)) << "cluster " << cl << " counter " << e;
+      for (std::size_t c = 0; c < got->num_cores(); ++c) {
+        ASSERT_EQ(got->core_filter(c).test(e), want->cf(c).count(e) != 0)
+            << "cluster " << cl << " CF of slot " << c << " bit " << e << ", after access " << at;
+        ASSERT_EQ(got->last_filter(c).test(e), want->lf(c).count(e) != 0)
+            << "cluster " << cl << " LF of slot " << c << " bit " << e << ", after access " << at;
+      }
+    }
+  }
+}
+
+/// Replay interleaved traffic through the sharer-mask Hierarchy and the
+/// broadcast reference: every result equal, and at checkpoints every cache's
+/// view of every touched line and every filter; at the end every counter.
+void run_three_level_differential(const cachesim::HierarchyConfig& config, std::uint64_t seed) {
+  ASSERT_TRUE(config.l3.has_value());
+  constexpr std::size_t kThreeLevelAccesses = 24000;
+  constexpr std::size_t kCheckpoint = 6000;
+  cachesim::Hierarchy opt(config);
+  testref::ReferenceThreeLevelHierarchy ref(config);
+  ThreeLevelTraffic traffic(config.num_cores, seed);
+  util::Rng switches(seed + 1);
+  std::set<cachesim::LineAddr> touched;
+
+  for (std::size_t i = 0; i < kThreeLevelAccesses; ++i) {
+    const ThreeLevelTraffic::Access a = traffic.next();
+    touched.insert(config.l1.line_of(a.addr));
+    expect_mem_result_eq(opt.access(a.core, a.addr, a.is_write),
+                         ref.access(a.core, a.addr, a.is_write), i);
+    if (testing::Test::HasFatalFailure()) return;
+    if (switches.next_below(200) == 0) {
+      const auto core = static_cast<std::size_t>(switches.next_below(config.num_cores));
+      opt.on_context_switch_in(core);
+      ref.on_context_switch_in(core);
+    }
+    if ((i + 1) % kCheckpoint == 0) {
+      expect_three_level_state_eq(opt, ref, touched, i);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
+
+  cachesim::LevelStats l1;
+  cachesim::LevelStats l2;
+  for (std::size_t core = 0; core < config.num_cores; ++core) {
+    expect_cache_stats_eq(opt.l1(core).stats(), ref.l1(core).stats(), "l1 total");
+    EXPECT_EQ(opt.tlb(core).hits(), ref.tlb(core).hits()) << "core " << core;
+    EXPECT_EQ(opt.tlb(core).misses(), ref.tlb(core).misses()) << "core " << core;
+    l1.accesses += ref.l1(core).stats().accesses;
+    l1.hits += ref.l1(core).stats().hits;
+    l1.misses += ref.l1(core).stats().misses;
+    l1.evictions += ref.l1(core).stats().evictions;
+  }
+  for (std::size_t cl = 0; cl < opt.num_clusters(); ++cl) {
+    expect_cache_stats_eq(opt.cluster_l2(cl).stats(), ref.cluster_l2(cl).stats(), "l2 total");
+    for (std::size_t core = 0; core < config.num_cores; ++core) {
+      expect_cache_stats_eq(opt.cluster_l2(cl).stats_for(core),
+                            ref.cluster_l2(cl).stats_for(core), "l2 per-requestor");
+    }
+    l2.accesses += ref.cluster_l2(cl).stats().accesses;
+    l2.hits += ref.cluster_l2(cl).stats().hits;
+    l2.misses += ref.cluster_l2(cl).stats().misses;
+    l2.evictions += ref.cluster_l2(cl).stats().evictions;
+  }
+  expect_cache_stats_eq(opt.l3().stats(), ref.l3().stats(), "l3 total");
+  for (std::size_t cl = 0; cl < opt.num_clusters(); ++cl) {
+    expect_cache_stats_eq(opt.l3().stats_for(cl), ref.l3().stats_for(cl), "l3 per-cluster");
+  }
+  EXPECT_EQ(opt.level_stats("l1"), l1);
+  EXPECT_EQ(opt.level_stats("l2"), l2);
+  expect_three_level_state_eq(opt, ref, touched, kThreeLevelAccesses);
+
+  // The trace reached every path the sharer masks change: L3 hits, L3
+  // evictions of lines several L2s held at once, and stream-priced misses.
+  EXPECT_GT(ref.l3().stats().hits, 0u);
+  EXPECT_GT(ref.l3().stats().evictions, 0u);
+  EXPECT_GT(ref.multi_holder_evictions(), 0u);
+  EXPECT_GT(l1.hits, 0u);
+  EXPECT_GT(l2.hits, 0u);
+}
+
+/// Trace replay's machine scaled down: 4 clusters of 2 cores, an SRRIP L3
+/// way-partitioned 4 ways per cluster, each partition as large as an L2.
+cachesim::HierarchyConfig replay_shape_config() {
+  cachesim::HierarchyConfig c;
+  c.num_cores = 8;
+  c.l2_clusters = 4;
+  c.l1 = {1024, 2, 64};      // 8 sets x 2 ways
+  c.l2 = {4 * 1024, 4, 64};  // 16 sets x 4 ways
+  c.l3 = cachesim::CacheGeometry{16 * 1024, 16, 64};
+  c.l3_replacement = cachesim::ReplacementKind::Srrip;
+  c.l3_way_partition.ways_per_group = {4, 4, 4, 4};
+  c.tlb_entries = 8;
+  return c;
+}
+
+TEST(DifferentialHierarchy, ThreeLevelClusteredPartitionedL3MatchesBroadcastReference) {
+  run_three_level_differential(replay_shape_config(), 501);
+}
+
+TEST(DifferentialHierarchy, ThreeLevelPrivateL2sMatchBroadcastReference) {
+  // An LRU L3: shared lines the private L2s keep hitting age out of it, so
+  // its evictions often purge several L2s at once.
+  cachesim::HierarchyConfig c;
+  c.num_cores = 4;
+  c.shared_l2 = false;
+  c.l1 = {1024, 2, 64};
+  c.l2 = {4 * 1024, 4, 64};
+  c.l3 = cachesim::CacheGeometry{16 * 1024, 8, 64};
+  c.l3_replacement = cachesim::ReplacementKind::Lru;
+  c.tlb_entries = 8;
+  run_three_level_differential(c, 502);
+}
+
+TEST(DifferentialHierarchy, ThreeLevelSeventyTwoPrivateL2sMatchBroadcastReference) {
+  // More L2s than mask bits: clusters 64-71 share bits 0-7 with clusters
+  // 0-7, so their evictions probe both L2s of an aliased pair.
+  cachesim::HierarchyConfig c;
+  c.num_cores = 72;
+  c.shared_l2 = false;
+  c.l1 = {1024, 2, 64};
+  c.l2 = {4 * 1024, 4, 64};
+  c.l3 = cachesim::CacheGeometry{64 * 1024, 16, 64};
+  c.l3_replacement = cachesim::ReplacementKind::Lru;
+  c.tlb_entries = 8;
+  run_three_level_differential(c, 506);
+}
+
+TEST(DifferentialHierarchy, ThreeLevelEightClustersPartitionedL3MatchBroadcastReference) {
+  // Also way-partitions each cluster L2 between its two cores.
+  cachesim::HierarchyConfig c;
+  c.num_cores = 16;
+  c.l2_clusters = 8;
+  c.l1 = {1024, 2, 64};
+  c.l2 = {4 * 1024, 4, 64};
+  c.l2_way_partition.ways_per_group = {2, 2};
+  c.l3 = cachesim::CacheGeometry{32 * 1024, 16, 64};
+  c.l3_way_partition.ways_per_group = {2, 2, 2, 2, 2, 2, 2, 2};
+  c.tlb_entries = 8;
+  run_three_level_differential(c, 503);
+}
+
+TEST(DifferentialHierarchy, ThreeLevelResetMidRunMatchesFreshHierarchy) {
+  // reset() must leave no trace of the warm-up, sharer masks included: the
+  // replay after it equals a fresh hierarchy's, access by access.
+  const cachesim::HierarchyConfig config = replay_shape_config();
+  cachesim::Hierarchy reused(config);
+  ThreeLevelTraffic warmup(config.num_cores, 504);
+  for (std::size_t i = 0; i < 8000; ++i) {
+    const ThreeLevelTraffic::Access a = warmup.next();
+    reused.access(a.core, a.addr, a.is_write);
+    if (i % 997 == 0) reused.on_context_switch_in(a.core);
+  }
+  reused.reset();
+
+  cachesim::Hierarchy fresh(config);
+  ThreeLevelTraffic traffic(config.num_cores, 505);
+  for (std::size_t i = 0; i < 16000; ++i) {
+    const ThreeLevelTraffic::Access a = traffic.next();
+    expect_mem_result_eq(reused.access(a.core, a.addr, a.is_write),
+                         fresh.access(a.core, a.addr, a.is_write), i);
+    if (HasFatalFailure()) return;
+    if (i % 997 == 0) {
+      reused.on_context_switch_in(a.core);
+      fresh.on_context_switch_in(a.core);
+    }
+  }
+  for (const char* level : {"l1", "l2", "l3"}) {
+    EXPECT_EQ(reused.level_stats(level), fresh.level_stats(level)) << level;
+  }
+  for (std::size_t core = 0; core < config.num_cores; core += config.cores_per_cluster()) {
+    const sig::FilterUnit& got = *reused.filter_for_core(core);
+    const sig::FilterUnit& want = *fresh.filter_for_core(core);
+    for (std::size_t e = 0; e < got.entries(); ++e) {
+      ASSERT_EQ(got.counter_at(e), want.counter_at(e)) << "core " << core << " counter " << e;
+    }
+    for (std::size_t c = 0; c < got.num_cores(); ++c) {
+      EXPECT_EQ(got.core_filter(c), want.core_filter(c)) << "core " << core << " slot " << c;
+      EXPECT_EQ(got.last_filter(c), want.last_filter(c)) << "core " << core << " slot " << c;
     }
   }
 }

@@ -213,6 +213,28 @@ TEST(Topology, DescribeNamesTheShape) {
   EXPECT_EQ(legacy.describe(), "2 cores / 1x256KiB shared L2");
 }
 
+TEST(Topology, DescribeKeepsSizesBelowTheirUnitWhole) {
+  // A size that is not a whole MiB reads in KiB, and one that is not a
+  // whole KiB in bytes, instead of truncating to 0MiB or 1MiB.
+  HierarchyConfig half;
+  half.num_cores = 8;
+  half.l2_clusters = 4;
+  half.l3 = CacheGeometry{512 * 1024, 16, 64};
+  EXPECT_EQ(half.describe(), "8 cores / 4x256KiB cluster L2 / 512KiB shared L3");
+  half.l3 = CacheGeometry{1536 * 1024, 24, 64};
+  EXPECT_EQ(half.describe(), "8 cores / 4x256KiB cluster L2 / 1536KiB shared L3");
+  half.l3 = CacheGeometry{768, 12, 64};
+  EXPECT_EQ(half.describe(), "8 cores / 4x256KiB cluster L2 / 768B shared L3");
+
+  HierarchyConfig tiny;
+  tiny.l2 = {512, 8, 64};
+  EXPECT_EQ(tiny.describe(), "2 cores / 1x512B shared L2");
+  tiny.shared_l2 = false;
+  EXPECT_EQ(tiny.describe(), "2 cores / private 512B L2s");
+  tiny.l2 = {4 * 1024 * 1024, 16, 64};
+  EXPECT_EQ(tiny.describe(), "2 cores / private 4096KiB L2s") << "L2 sizes never read in MiB";
+}
+
 // --- Cache way-partition semantics -----------------------------------------
 
 TEST(CachePartitioning, FillsConfinedToOwnWaysLookupsAreNot) {
