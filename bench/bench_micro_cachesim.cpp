@@ -203,4 +203,23 @@ void BM_WorkloadNext(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadNext)->Arg(0)->Arg(1);
 
+// The machine's way of pulling steps: one 64-step next_chunk refills a
+// buffer that the iterations then drain one step each, so the reported time
+// is per step, comparable with BM_WorkloadNext.
+void BM_WorkloadChunk(benchmark::State& state) {
+  workload::ScaleConfig scale;
+  auto w = workload::make_spec_workload(state.range(0) == 0 ? "mcf" : "libquantum", 0,
+                                        util::Rng{4}, scale);
+  cachesim::MemRef chunk[64];
+  std::size_t left = 0;
+  for (auto _ : state) {
+    if (left == 0) {
+      if (w->complete()) w->restart();
+      left = w->next_chunk(chunk, 64);
+    }
+    benchmark::DoNotOptimize(chunk[--left]);
+  }
+}
+BENCHMARK(BM_WorkloadChunk)->Arg(0)->Arg(1);
+
 }  // namespace

@@ -14,6 +14,17 @@ using Addr = std::uint64_t;
 /// Cache-line address: byte address >> line_bits.
 using LineAddr = std::uint64_t;
 
+/// One memory reference of a task or a trace: the unit Hierarchy::access_batch
+/// consumes and TaskStream::next_chunk produces. @p gap is the number of
+/// compute instructions (one cycle each) the core retires before the
+/// reference; it sits in what was padding, so the struct stays 16 bytes.
+struct MemRef {
+  Addr addr = 0;
+  bool is_write = false;
+  std::uint32_t gap = 0;
+};
+static_assert(sizeof(MemRef) == 16, "MemRef must stay two words");
+
 /// Geometry of one set-associative cache level.
 struct CacheGeometry {
   std::size_t size_bytes = 4 * 1024 * 1024;

@@ -252,7 +252,8 @@ SYM_HOT MemAccessResult Hierarchy::access(std::size_t core, Addr addr, bool is_w
 }
 
 SYM_HOT BatchSummary Hierarchy::access_batch(std::size_t core, const MemRef* refs, std::size_t n,
-                                             MemAccessResult* results) {
+                                             MemAccessResult* results,
+                                             std::optional<std::uint64_t> budget) {
   SYM_DCHECK_BOUNDS(core, config_.num_cores, "cachesim.bounds");
   // Hoist every core-indexed and config-dependent lookup out of the replay
   // loop; the loop body itself is the canonical access_one().
@@ -262,12 +263,16 @@ SYM_HOT BatchSummary Hierarchy::access_batch(std::size_t core, const MemRef* ref
   Tlb& tlb = *tlb_[core];
   sig::FilterUnit* const filter = filters_.empty() ? nullptr : filters_[cluster].get();
   StreamState& ss = stream_[core];
+  const bool bounded = budget.has_value();
+  const std::uint64_t limit = budget.value_or(0);
 
   BatchSummary summary;
-  summary.accesses = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    const MemAccessResult r =
-        access_one(core, cluster, refs[i].addr, refs[i].is_write, l1, l2, tlb, filter, ss);
+  std::uint64_t spent = 0;
+  std::size_t i = 0;
+  while (i < n) {
+    const MemRef& ref = refs[i];
+    const MemAccessResult r = access_one(core, cluster, ref.addr, ref.is_write, l1, l2, tlb,
+                                         filter, ss);
     summary.cycles += r.cycles;
     summary.l1_hits += r.l1_hit;
     summary.l2_hits += r.l2_hit;
@@ -275,7 +280,11 @@ SYM_HOT BatchSummary Hierarchy::access_batch(std::size_t core, const MemRef* ref
     summary.tlb_hits += r.tlb_hit;
     summary.stream_prefetched += r.stream_prefetched;
     if (results) results[i] = r;
+    ++i;
+    spent += std::uint64_t{ref.gap} + r.cycles;
+    if (bounded && spent >= limit) break;
   }
+  summary.accesses = i;
   return summary;
 }
 

@@ -139,15 +139,9 @@ struct MemAccessResult {
   [[nodiscard]] bool operator==(const MemAccessResult&) const noexcept = default;
 };
 
-/// One reference of a replayed trace (batched-access input element).
-struct MemRef {
-  Addr addr = 0;
-  bool is_write = false;
-};
-
 /// Aggregate outcome of one access_batch() call.
 struct BatchSummary {
-  std::uint64_t accesses = 0;
+  std::uint64_t accesses = 0;  ///< references consumed
   std::uint64_t cycles = 0;
   std::uint64_t l1_hits = 0;
   std::uint64_t l2_hits = 0;
@@ -189,14 +183,21 @@ class Hierarchy {
   /// One load/store by @p core at byte address @p addr.
   MemAccessResult access(std::size_t core, Addr addr, bool is_write);
 
-  /// Batched trace replay: process @p n references for @p core exactly as n
-  /// successive access() calls would (bit-identical results, stats, filter
-  /// and replacement state — the differential suite pins this down), but
-  /// with the per-access overhead (core-indexed lookups, cluster/L2/filter
+  /// Batched access, the one path the machine and the trace replayer take:
+  /// process up to @p n references for @p core exactly as successive
+  /// access() calls would (bit-identical results, stats, filter and
+  /// replacement state — the differential suite pins this down), but with
+  /// the per-access overhead (core-indexed lookups, cluster/L2/filter
   /// resolution, bounds checks) hoisted out of the loop. When @p results is
-  /// non-null it receives one MemAccessResult per reference.
+  /// non-null it receives one MemAccessResult per consumed reference.
+  ///
+  /// With a @p budget the batch stops after the first reference at which
+  /// the running sum of MemRef::gap plus access cycles reaches it (the
+  /// machine's quantum); BatchSummary::accesses says how many references
+  /// that consumed. Without one every reference is consumed.
   BatchSummary access_batch(std::size_t core, const MemRef* refs, std::size_t n,
-                            MemAccessResult* results = nullptr);
+                            MemAccessResult* results = nullptr,
+                            std::optional<std::uint64_t> budget = std::nullopt);
 
   /// Context-switch hooks forwarded to TLB and signature hardware.
   void on_context_switch_in(std::size_t core);

@@ -31,7 +31,7 @@ ReplacementKind parse_replacement(const std::string& name) {
 
 Replacement::Replacement(ReplacementKind kind, std::size_t sets, std::size_t ways,
                          std::uint64_t seed)
-    : kind_(kind), ways_(ways), rng_(seed) {
+    : kind_(kind), ways_(ways), seed_(seed), rng_(seed) {
   switch (kind) {
     case ReplacementKind::Lru:
     case ReplacementKind::Fifo: stamp_.assign(sets * ways, 0); break;
@@ -133,6 +133,7 @@ void Replacement::reset() noexcept {
   clock_ = 0;
   std::fill(bits_.begin(), bits_.end(),
             kind_ == ReplacementKind::Srrip ? kRrpvMax : std::uint8_t{0});
+  rng_.reseed(seed_);
 }
 
 }  // namespace symbiosis::cachesim

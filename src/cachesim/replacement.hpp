@@ -69,7 +69,8 @@ class Replacement {
     return kind_ != ReplacementKind::TreePlru;
   }
 
-  /// Drop all state (Random's RNG stream continues).
+  /// Return to the fresh state, Random's RNG reseeded from the
+  /// constructor's seed included.
   void reset() noexcept;
 
  private:
@@ -83,6 +84,7 @@ class Replacement {
   std::vector<std::uint64_t> stamp_;  ///< Lru/Fifo: per line
   std::vector<std::uint8_t> bits_;    ///< Srrip: RRPV per line; TreePlru: ways-1 nodes per set
   std::uint64_t clock_ = 0;
+  std::uint64_t seed_;                ///< Random only: what reset() reseeds rng_ with
   util::Rng rng_;                     ///< Random only
 };
 

@@ -39,6 +39,7 @@ TaskId Machine::add_thread(std::unique_ptr<workload::TaskStream> stream, std::si
   const TaskId id = tasks_.size();
   tasks_.push_back(
       std::make_unique<Task>(id, pid, std::move(stream), config_.hierarchy.num_cores));
+  tasks_.back()->pending.resize(config_.batch_steps);
   tasks_.back()->set_affinity(affinity);
   scheduler_.admit(id, affinity);
   return id;
@@ -178,44 +179,61 @@ void Machine::execute_batch(std::size_t core) {
   Task& t = *tasks_[current_[core]];
   workload::TaskStream& stream = t.stream();
   auto& counters = t.counters();
+  std::uint64_t& quantum_left = quantum_left_[core];
 
-  for (std::uint32_t i = 0; i < config_.batch_steps && quantum_left_[core] > 0; ++i) {
-    const workload::Step step = stream.next();
-    std::uint64_t cycles = step.compute_instr;  // 1-cycle compute CPI
-
+  // Run the task's pending steps through the hierarchy until the batch's
+  // step count or the quantum runs out. Steps are 1-cycle-CPI compute gaps
+  // plus their access cycles; access_batch stops at the step that uses up
+  // the quantum. With page tracking each step goes alone, its first-touch
+  // fault charged before it.
+  std::size_t steps_left = config_.batch_steps;
+  while (steps_left > 0 && quantum_left > 0) {
+    if (t.pending_next == t.pending_end) {
+      t.pending_next = 0;
+      t.pending_end = stream.next_chunk(t.pending.data(), t.pending.size());
+      SYM_CHECK(t.pending_end > 0, "machine.stream")
+          << "task " << t.id() << " (" << t.name() << ") yielded no step";
+    }
+    const cachesim::MemRef* const refs = t.pending.data() + t.pending_next;
+    std::size_t n = std::min(t.pending_end - t.pending_next, steps_left);
+    std::uint64_t cycles = 0;
     if (config_.track_pages) {
-      const std::uint64_t page = step.addr >> 12;
-      if (t.touched_pages.insert(page).second) {
+      n = 1;
+      if (t.touched_pages.insert(refs->addr >> 12).second) {
         ++counters.page_faults;
         cycles += config_.page_fault_cycles;
       }
     }
 
-    const cachesim::MemAccessResult mem = hierarchy_.access(core, step.addr, step.is_write);
-    cycles += mem.cycles;
+    const cachesim::BatchSummary s = hierarchy_.access_batch(core, refs, n, nullptr, quantum_left);
+    std::uint64_t gaps = 0;
+    for (std::size_t i = 0; i < s.accesses; ++i) gaps += refs[i].gap;
+    cycles += gaps + s.cycles;
 
-    counters.instructions += step.compute_instr + 1;
-    ++counters.memory_refs;
-    if (!mem.tlb_hit) ++counters.tlb_misses;
-    if (!mem.l1_hit) {
-      ++counters.l1_misses;
-      ++counters.l2_accesses;
-      if (!mem.l2_hit) {
-        ++counters.l2_misses;
-        if (has_l3_) {
-          ++counters.l3_accesses;
-          if (!mem.l3_hit) ++counters.l3_misses;
-        }
-      }
+    const std::uint64_t l1_misses = s.accesses - s.l1_hits;
+    const std::uint64_t l2_misses = l1_misses - s.l2_hits;
+    counters.instructions += gaps + s.accesses;
+    counters.memory_refs += s.accesses;
+    counters.tlb_misses += s.accesses - s.tlb_hits;
+    counters.l1_misses += l1_misses;
+    counters.l2_accesses += l1_misses;
+    counters.l2_misses += l2_misses;
+    if (has_l3_) {
+      counters.l3_accesses += l2_misses;
+      counters.l3_misses += l2_misses - s.l3_hits;
     }
 
     clock_[core] += cycles;
     t.run_user_cycles += cycles;
     t.total_user_cycles += cycles;
-    quantum_left_[core] -= std::min(quantum_left_[core], cycles);
-    ++stats_.steps;
+    quantum_left -= std::min(quantum_left, cycles);
+    stats_.steps += s.accesses;
+    t.pending_next += s.accesses;
+    steps_left -= s.accesses;
 
-    if (stream.complete()) {
+    // A chunk never crosses the end of a run, so a drained buffer of a
+    // complete stream means the run's last step just executed.
+    if (t.pending_next == t.pending_end && stream.complete()) {
       if (t.completed_runs == 0) {
         t.first_completion_user_cycles = t.run_user_cycles;
         t.first_completion_wall_cycles = clock_[core];
@@ -226,7 +244,7 @@ void Machine::execute_batch(std::size_t core) {
     }
   }
 
-  if (quantum_left_[core] == 0) switch_out(core);
+  if (quantum_left == 0) switch_out(core);
 }
 
 bool Machine::advance_one() {

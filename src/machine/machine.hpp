@@ -115,7 +115,7 @@ class Machine {
   MachineConfig config_;
   cachesim::Hierarchy hierarchy_;
   Scheduler scheduler_;
-  /// Hoisted hierarchy_.has_l3() so the per-step counter path stays a
+  /// Hoisted hierarchy_.has_l3() so the per-batch counter update stays a
   /// register test.
   bool has_l3_ = false;
   std::vector<std::unique_ptr<Task>> tasks_;

@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <unordered_set>
+#include <vector>
 
 #include "sig/signature.hpp"
 #include "workload/benchmark_model.hpp"
@@ -85,6 +86,13 @@ class Task {
 
   /// First-touch page tracking (drives the page-fault counter).
   std::unordered_set<std::uint64_t> touched_pages;
+
+  /// Steps generated but not yet executed: the stream's last next_chunk
+  /// lands in pending[0, pending_end), and pending_next is the first one
+  /// the task has not run yet. Sized once at admission (one machine batch).
+  std::vector<cachesim::MemRef> pending;
+  std::size_t pending_next = 0;
+  std::size_t pending_end = 0;
 
   /// Background tasks (e.g. a Dom0 housekeeping loop) never "complete";
   /// run_to_all_complete ignores them.

@@ -60,10 +60,29 @@ class PatternBase : public AccessPattern {
   std::uint64_t lines_ = 0;
 };
 
-class SequentialPattern final : public PatternBase {
+/// next() and fill() of a pattern whose one-step address draw is the inline
+/// Derived::draw: fill() runs draw_steps with it, so a phase run is one
+/// virtual call and one inlined loop.
+template <typename Derived>
+class DrawnPattern : public PatternBase {
  public:
   using PatternBase::PatternBase;
-  Addr next(util::Rng&) override {
+
+  Addr next(util::Rng& rng) final { return self().draw(rng); }
+  void fill(util::Rng& rng, double compute_gap, double write_ratio, MemRef* out,
+            std::size_t n) override {
+    draw_steps(rng, compute_gap, write_ratio, out, n,
+               [this](util::Rng& r, std::size_t) { return self().draw(r); });
+  }
+
+ private:
+  Derived& self() noexcept { return static_cast<Derived&>(*this); }
+};
+
+class SequentialPattern final : public DrawnPattern<SequentialPattern> {
+ public:
+  using DrawnPattern::DrawnPattern;
+  Addr draw(util::Rng&) {
     const Addr a = addr_of_line(pos_);
     pos_ = (pos_ + 1) % lines_;
     return a;
@@ -74,12 +93,12 @@ class SequentialPattern final : public PatternBase {
   std::uint64_t pos_ = 0;
 };
 
-class StridedPattern final : public PatternBase {
+class StridedPattern final : public DrawnPattern<StridedPattern> {
  public:
-  StridedPattern(const PatternSpec& spec, Addr base) : PatternBase(spec, base) {
+  StridedPattern(const PatternSpec& spec, Addr base) : DrawnPattern(spec, base) {
     stride_lines_ = std::max<std::uint64_t>(1, spec.stride_bytes / spec.line_bytes);
   }
-  Addr next(util::Rng&) override {
+  Addr draw(util::Rng&) {
     const Addr a = addr_of_line(pos_);
     pos_ += stride_lines_;
     if (pos_ >= lines_) pos_ %= lines_;  // wrap, revisiting the same line set
@@ -92,27 +111,48 @@ class StridedPattern final : public PatternBase {
   std::uint64_t pos_ = 0;
 };
 
-class RandomPattern final : public PatternBase {
+class RandomPattern final : public DrawnPattern<RandomPattern> {
  public:
-  using PatternBase::PatternBase;
-  Addr next(util::Rng& rng) override { return addr_of_line(rng.next_below(lines_)); }
+  using DrawnPattern::DrawnPattern;
+  Addr draw(util::Rng& rng) { return addr_of_line(rng.next_below(lines_)); }
   void reset() override {}
 };
 
-class ZipfPattern final : public PatternBase {
+class ZipfPattern final : public DrawnPattern<ZipfPattern> {
  public:
   ZipfPattern(const PatternSpec& spec, Addr base, util::Rng& rng)
-      : PatternBase(spec, base), sampler_(lines_, spec.zipf_skew) {
+      : DrawnPattern(spec, base), sampler_(lines_, spec.zipf_skew) {
     // Scatter popularity ranks over the region so the hot lines are not
     // physically contiguous (they would otherwise map to few cache sets).
     perm_.resize(lines_);
     std::iota(perm_.begin(), perm_.end(), std::uint64_t{0});
     rng.shuffle(perm_);
   }
-  Addr next(util::Rng& rng) override { return addr_of_line(perm_[sampler_.sample(rng)]); }
+  Addr draw(util::Rng& rng) { return addr_of_line(perm_[sampler_.sample(rng)]); }
+
+  /// Blocks of up to kBlock steps: the draw pass keeps each step's uniform
+  /// draw, then one lockstep search resolves the whole block, so the
+  /// searches' dependent loads overlap instead of serializing.
+  void fill(util::Rng& rng, double compute_gap, double write_ratio, MemRef* out,
+            std::size_t n) override {
+    double u[kBlock];
+    std::size_t rank[kBlock];
+    for (std::size_t at = 0; at < n; at += kBlock) {
+      const std::size_t m = std::min(kBlock, n - at);
+      MemRef* const block = out + at;
+      draw_steps(rng, compute_gap, write_ratio, block, m, [&u](util::Rng& r, std::size_t i) {
+        u[i] = r.next_double();
+        return Addr{0};
+      });
+      sampler_.index_of_batch(u, rank, m);
+      for (std::size_t i = 0; i < m; ++i) block[i].addr = addr_of_line(perm_[rank[i]]);
+    }
+  }
   void reset() override {}
 
  private:
+  static constexpr std::size_t kBlock = 64;
+
   util::ZipfSampler sampler_;
   std::vector<std::uint64_t> perm_;
 };
@@ -120,10 +160,10 @@ class ZipfPattern final : public PatternBase {
 /// Dependent walk of one random Hamiltonian cycle over the region's lines.
 /// Every line is visited once per lap (full footprint) but in an order that
 /// defeats spatial prefetch-like locality — the mcf access class.
-class PointerChasePattern final : public PatternBase {
+class PointerChasePattern final : public DrawnPattern<PointerChasePattern> {
  public:
   PointerChasePattern(const PatternSpec& spec, Addr base, util::Rng& rng)
-      : PatternBase(spec, base) {
+      : DrawnPattern(spec, base) {
     // Sattolo's algorithm: a uniform random single-cycle permutation.
     next_.resize(lines_);
     std::vector<std::uint64_t> order(lines_);
@@ -134,7 +174,7 @@ class PointerChasePattern final : public PatternBase {
     pos_ = order.empty() ? 0 : order[0];
     start_ = pos_;
   }
-  Addr next(util::Rng&) override {
+  Addr draw(util::Rng&) {
     const Addr a = addr_of_line(pos_);
     pos_ = next_[pos_];
     return a;
@@ -149,10 +189,10 @@ class PointerChasePattern final : public PatternBase {
 
 /// Sequential scan of a region so large relative to the cache that lines
 /// are evicted before reuse: a pure bandwidth stream.
-class StreamPattern final : public PatternBase {
+class StreamPattern final : public DrawnPattern<StreamPattern> {
  public:
-  using PatternBase::PatternBase;
-  Addr next(util::Rng&) override {
+  using DrawnPattern::DrawnPattern;
+  Addr draw(util::Rng&) {
     const Addr a = addr_of_line(pos_);
     pos_ = (pos_ + 1) % lines_;
     return a;
@@ -174,15 +214,15 @@ class StreamPattern final : public PatternBase {
 /// of the buffer. A new line asks the membership bitmap instead of scanning
 /// the stack. The stack's contents, and so the draw sequence, are those of
 /// a plain vector with find/erase (tests/reference/reference_stack_distance.hpp).
-class StackDistancePattern final : public PatternBase {
+class StackDistancePattern final : public DrawnPattern<StackDistancePattern> {
  public:
   StackDistancePattern(const PatternSpec& spec, Addr base)
-      : PatternBase(spec, base),
+      : DrawnPattern(spec, base),
         capacity_(static_cast<std::size_t>(std::min<std::uint64_t>(lines_, 4096))),
         buf_(std::make_unique_for_overwrite<std::uint64_t[]>(capacity_)),
         member_((lines_ + 63) / 64, 0) {}
 
-  Addr next(util::Rng& rng) override {
+  Addr draw(util::Rng& rng) {
     const std::size_t size = top_ - bottom_;
     if (size != 0 && rng.next_bool(spec_.locality)) {
       // Geometric depth: depth k with P ~ (1-p)^k; mean controlled by the

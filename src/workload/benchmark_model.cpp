@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "util/check.hpp"
+
 namespace symbiosis::workload {
 
 std::uint64_t BenchmarkSpec::footprint_bytes() const noexcept {
@@ -22,25 +24,31 @@ Workload::Workload(BenchmarkSpec spec, Addr base, util::Rng rng)
   }
 }
 
-Step Workload::next() {
-  const PhaseSpec& phase = spec_.phases[phase_];
-  Step step;
-  // Exponentially distributed compute gap around the phase mean, clamped so
-  // one pathological draw cannot stall a core for a whole quantum.
-  if (phase.compute_gap > 0.0) {
-    const double gap = rng_.next_exponential(1.0 / phase.compute_gap);
-    step.compute_instr =
-        static_cast<std::uint32_t>(std::min(gap, phase.compute_gap * 8.0));
-  }
-  step.addr = patterns_[phase_]->next(rng_);
-  step.is_write = rng_.next_bool(phase.write_ratio);
+Step TaskStream::next() {
+  cachesim::MemRef ref;
+  SYM_CHECK(next_chunk(&ref, 1) == 1, "workload.stream") << "next() on a completed stream";
+  return Step{ref.gap, ref.addr, ref.is_write};
+}
 
-  ++refs_issued_;
-  if (++refs_in_phase_ >= phase.refs) {
-    refs_in_phase_ = 0;
-    phase_ = (phase_ + 1) % spec_.phases.size();
+std::size_t Workload::next_chunk(cachesim::MemRef* out, std::size_t n) {
+  if (complete()) return 0;
+  n = static_cast<std::size_t>(std::min<std::uint64_t>(n, spec_.total_refs - refs_issued_));
+  // One fill per phase run: the chunk splits where a phase visit ends.
+  for (std::size_t done = 0; done < n;) {
+    const PhaseSpec& phase = spec_.phases[phase_];
+    // A zero-length phase still yields one step per visit.
+    const std::uint64_t phase_left = std::max<std::uint64_t>(phase.refs, 1) - refs_in_phase_;
+    const auto take = static_cast<std::size_t>(std::min<std::uint64_t>(n - done, phase_left));
+    patterns_[phase_]->fill(rng_, phase.compute_gap, phase.write_ratio, out + done, take);
+    done += take;
+    refs_in_phase_ += take;
+    if (refs_in_phase_ >= phase.refs) {
+      refs_in_phase_ = 0;
+      phase_ = (phase_ + 1) % spec_.phases.size();
+    }
   }
-  return step;
+  refs_issued_ += n;
+  return n;
 }
 
 void Workload::restart() {

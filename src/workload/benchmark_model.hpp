@@ -26,24 +26,40 @@
 namespace symbiosis::workload {
 
 /// One simulated instruction step: @p compute_instr back-to-back non-memory
-/// instructions followed by one memory reference.
+/// instructions followed by one memory reference. The one-step view of a
+/// cachesim::MemRef (whose gap is compute_instr), returned by
+/// TaskStream::next.
 struct Step {
   std::uint32_t compute_instr = 0;
   Addr addr = 0;
   bool is_write = false;
 };
 
-/// Uniform interface the machine scheduler runs: anything that yields Steps.
+/// Uniform interface the machine scheduler runs: anything that yields steps.
+/// A run is total_refs() steps; the machine restarts a stream once it
+/// completes (the paper restarts finished benchmarks until the longest of
+/// the mix completes).
 class TaskStream {
  public:
   virtual ~TaskStream() = default;
-  [[nodiscard]] virtual Step next() = 0;
-  /// True once total_refs references have been issued ("run to completion").
+
+  /// Write the next min(@p n, steps left in the run) steps to @p out and
+  /// return how many: fewer than @p n only at the end of a run, 0 once
+  /// complete(). A chunk never crosses the end of a run, and a stream's step
+  /// sequence does not depend on how it is chunked. The only virtual
+  /// generator; everything that runs a stream pulls its steps through here.
+  virtual std::size_t next_chunk(cachesim::MemRef* out, std::size_t n) = 0;
+
+  /// One step, through next_chunk (tests, tools and probes). The stream
+  /// must not be complete().
+  [[nodiscard]] Step next();
+
+  /// True once total_refs() steps have been generated in this run.
   [[nodiscard]] virtual bool complete() const = 0;
-  /// Restart from scratch (the paper restarts finished benchmarks until the
-  /// longest of the mix completes).
+  /// Restart from scratch.
   virtual void restart() = 0;
   [[nodiscard]] virtual const std::string& name() const = 0;
+  /// Steps generated in this run (a consumer may still hold some of them).
   [[nodiscard]] virtual std::uint64_t refs_issued() const = 0;
   [[nodiscard]] virtual std::uint64_t total_refs() const = 0;
 };
@@ -76,7 +92,7 @@ class Workload final : public TaskStream {
   /// @param base line-aligned base address (the process's address space)
   Workload(BenchmarkSpec spec, Addr base, util::Rng rng);
 
-  [[nodiscard]] Step next() override;
+  std::size_t next_chunk(cachesim::MemRef* out, std::size_t n) override;
   [[nodiscard]] bool complete() const override { return refs_issued_ >= spec_.total_refs; }
   void restart() override;
   [[nodiscard]] const std::string& name() const override { return spec_.name; }

@@ -16,17 +16,16 @@ ParsecThreadStream::ParsecThreadStream(const MtBenchmarkSpec& spec, Addr process
   private_ = make_pattern(spec.private_pattern, private_base, rng_);
 }
 
-Step ParsecThreadStream::next() {
-  Step step;
-  if (spec_.compute_gap > 0.0) {
-    const double gap = rng_.next_exponential(1.0 / spec_.compute_gap);
-    step.compute_instr = static_cast<std::uint32_t>(std::min(gap, spec_.compute_gap * 8.0));
-  }
-  const bool use_shared = rng_.next_bool(spec_.share_prob);
-  step.addr = use_shared ? shared_->next(rng_) : private_->next(rng_);
-  step.is_write = rng_.next_bool(spec_.write_ratio);
-  ++refs_issued_;
-  return step;
+std::size_t ParsecThreadStream::next_chunk(cachesim::MemRef* out, std::size_t n) {
+  if (complete()) return 0;
+  n = static_cast<std::size_t>(std::min<std::uint64_t>(n, spec_.refs_per_thread - refs_issued_));
+  // The address draw picks the shared or the private region per step.
+  draw_steps(rng_, spec_.compute_gap, spec_.write_ratio, out, n,
+             [this](util::Rng& rng, std::size_t) {
+               return rng.next_bool(spec_.share_prob) ? shared_->next(rng) : private_->next(rng);
+             });
+  refs_issued_ += n;
+  return n;
 }
 
 void ParsecThreadStream::restart() {

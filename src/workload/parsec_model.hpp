@@ -43,7 +43,7 @@ class ParsecThreadStream final : public TaskStream {
   ParsecThreadStream(const MtBenchmarkSpec& spec, Addr process_base, std::size_t tid,
                      util::Rng rng);
 
-  [[nodiscard]] Step next() override;
+  std::size_t next_chunk(cachesim::MemRef* out, std::size_t n) override;
   [[nodiscard]] bool complete() const override { return refs_issued_ >= spec_.refs_per_thread; }
   void restart() override;
   [[nodiscard]] const std::string& name() const override { return name_; }

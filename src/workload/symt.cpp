@@ -391,6 +391,7 @@ std::size_t SymtCursor::decode_mem_run(cachesim::MemRef* refs, std::uint32_t* ga
       if (g > ~std::uint32_t{0}) fail("compute gap overflows 32 bits");
       gap = static_cast<std::uint32_t>(g);
     }
+    refs[n].gap = gap;
     if (gaps) gaps[n] = gap;
     ++n;
     --remaining;

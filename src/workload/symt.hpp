@@ -215,9 +215,10 @@ class SymtCursor {
   bool next(SymtRecord& out);
 
   /// Fast path: decode up to @p max CONSECUTIVE memory records into
-  /// @p refs (and, when non-null, their compute gaps into @p gaps). Stops
-  /// early at a sync record WITHOUT consuming it — the next call to next()
-  /// or decode_mem_run() sees it. Returns the number decoded.
+  /// @p refs, compute gaps included (and, when non-null, the gaps again
+  /// into @p gaps). Stops early at a sync record WITHOUT consuming it — the
+  /// next call to next() or decode_mem_run() sees it. Returns the number
+  /// decoded.
   std::size_t decode_mem_run(cachesim::MemRef* refs, std::uint32_t* gaps, std::size_t max);
 
   [[nodiscard]] bool done() const noexcept { return remaining_ == 0; }

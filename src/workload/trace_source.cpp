@@ -1,7 +1,9 @@
 #include "workload/trace_source.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace symbiosis::workload {
@@ -32,18 +34,20 @@ SymtTaskStream::SymtTaskStream(std::shared_ptr<const SymtTrace> trace, std::size
   }
 }
 
-Step SymtTaskStream::next() {
-  SymtRecord rec;
-  while (issued_ < total_refs_ && cursor_.next(rec)) {
-    if (!rec.is_mem()) {
-      ++skipped_syncs_;
-      continue;
-    }
-    ++issued_;
-    last_ = Step{rec.gap, rec.addr, rec.op == SymtOp::Write};
-    return last_;
+std::size_t SymtTaskStream::next_chunk(cachesim::MemRef* out, std::size_t n) {
+  n = static_cast<std::size_t>(std::min<std::uint64_t>(n, total_refs_ - issued_));
+  std::size_t done = cursor_.decode_mem_run(out, nullptr, n);
+  while (done < n) {
+    // decode_mem_run stopped at a sync record: skip it and decode on.
+    SymtRecord rec;
+    SYM_CHECK(cursor_.next(rec), "workload.trace")
+        << "thread " << thread_ << " ends before its counted memory records";
+    SYM_DCHECK(!rec.is_mem(), "workload.trace") << "decode_mem_run stopped on a memory record";
+    ++skipped_syncs_;
+    done += cursor_.decode_mem_run(out + done, nullptr, n - done);
   }
-  return last_;  // past the end: repeat the final step
+  issued_ += done;
+  return done;
 }
 
 void SymtTaskStream::restart() {
@@ -54,10 +58,18 @@ void SymtTaskStream::restart() {
 
 std::uint64_t record_stream(SymtWriter& writer, std::size_t thread, TaskStream& stream,
                             std::uint64_t refs) {
+  std::vector<cachesim::MemRef> chunk(
+      static_cast<std::size_t>(std::min<std::uint64_t>(refs, 4096)));
   std::uint64_t recorded = 0;
-  for (; recorded < refs && !stream.complete(); ++recorded) {
-    const Step step = stream.next();
-    writer.append_mem(thread, step.addr, step.is_write, step.compute_instr);
+  while (recorded < refs) {
+    const auto want =
+        static_cast<std::size_t>(std::min<std::uint64_t>(chunk.size(), refs - recorded));
+    const std::size_t n = stream.next_chunk(chunk.data(), want);
+    if (n == 0) break;  // the run completed
+    for (std::size_t i = 0; i < n; ++i) {
+      writer.append_mem(thread, chunk[i].addr, chunk[i].is_write, chunk[i].gap);
+    }
+    recorded += n;
   }
   return recorded;
 }
@@ -98,13 +110,10 @@ cachesim::BatchSummary replay_generated(const std::vector<std::string>& names,
   while (any) {
     any = false;
     for (std::size_t i = 0; i < names.size(); ++i) {
-      std::size_t n = 0;
-      while (n < chunk && remaining[i] > 0 && !workloads[i]->complete()) {
-        const Step step = workloads[i]->next();
-        buffer[n++] = {step.addr, step.is_write};
-        --remaining[i];
-      }
+      const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(chunk, remaining[i]));
+      const std::size_t n = workloads[i]->next_chunk(buffer.data(), want);
       if (n == 0) continue;
+      remaining[i] -= n;
       totals += hierarchy.access_batch(i % hierarchy.num_cores(), buffer.data(), n);
       any = true;
     }

@@ -11,8 +11,8 @@
 //     threads.push_back(std::make_unique<SymtTaskStream>(trace, t, name));
 //   machine.add_process(std::move(threads));
 //
-// SymtTaskStreams yield Step{gap, addr, is_write} from the thread's
-// records. Synchronization records are NOT enforceable on this path (a
+// SymtTaskStreams yield the thread's memory records, compute gaps included.
+// Synchronization records are NOT enforceable on this path (a
 // TaskStream cannot block the machine's scheduler), so they are skipped and
 // counted; sync-faithful replay is workload/replayer.hpp's job. Converted
 // single-threaded synthetic traces carry no sync records, which is what
@@ -36,7 +36,7 @@ class SymtTaskStream final : public TaskStream {
  public:
   SymtTaskStream(std::shared_ptr<const SymtTrace> trace, std::size_t thread, std::string name);
 
-  [[nodiscard]] Step next() override;
+  std::size_t next_chunk(cachesim::MemRef* out, std::size_t n) override;
   [[nodiscard]] bool complete() const override { return issued_ >= total_refs_; }
   void restart() override;
   [[nodiscard]] const std::string& name() const override { return name_; }
@@ -53,13 +53,13 @@ class SymtTaskStream final : public TaskStream {
   std::uint64_t total_refs_ = 0;  ///< memory records only
   std::uint64_t issued_ = 0;
   std::uint64_t skipped_syncs_ = 0;
-  Step last_{};
 };
 
 // --- converters ------------------------------------------------------------
 
-/// Record @p refs steps of @p stream into writer thread @p thread,
-/// preserving compute gaps. Returns the number of steps recorded.
+/// Record up to @p refs steps of @p stream into writer thread @p thread,
+/// preserving compute gaps; stops early when the stream's run completes.
+/// Returns the number of steps recorded.
 std::uint64_t record_stream(SymtWriter& writer, std::size_t thread, TaskStream& stream,
                             std::uint64_t refs);
 

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -290,6 +291,114 @@ TEST(DifferentialHierarchy, BatchChunkSizesMatchSerialReplayOnThreeLevels) {
   }
 }
 
+// --- budgeted batches -------------------------------------------------------
+
+/// Every level counter, TLB counter and cluster filter (counters, CFs and
+/// LFs) of @p got equals @p want's.
+void expect_hierarchy_state_eq(cachesim::Hierarchy& got, cachesim::Hierarchy& want,
+                               std::size_t at) {
+  for (const char* level : {"l1", "l2", "l3"}) {
+    ASSERT_EQ(got.level_stats(level), want.level_stats(level))
+        << level << " after access " << at;
+  }
+  for (std::size_t core = 0; core < got.num_cores(); ++core) {
+    ASSERT_EQ(got.tlb(core).hits(), want.tlb(core).hits()) << "core " << core;
+    ASSERT_EQ(got.tlb(core).misses(), want.tlb(core).misses()) << "core " << core;
+  }
+  const std::size_t per_cluster = got.num_cores() / got.num_clusters();
+  for (std::size_t core = 0; core < got.num_cores(); core += per_cluster) {
+    const sig::FilterUnit* g = got.filter_for_core(core);
+    const sig::FilterUnit* w = want.filter_for_core(core);
+    ASSERT_EQ(g == nullptr, w == nullptr);
+    if (g == nullptr) continue;
+    for (std::size_t e = 0; e < g->entries(); ++e) {
+      ASSERT_EQ(g->counter_at(e), w->counter_at(e))
+          << "core " << core << " counter " << e << " after access " << at;
+    }
+    for (std::size_t c = 0; c < g->num_cores(); ++c) {
+      ASSERT_EQ(g->core_filter(c), w->core_filter(c)) << "core " << core << " slot " << c;
+      ASSERT_EQ(g->last_filter(c), w->last_filter(c)) << "core " << core << " slot " << c;
+    }
+  }
+}
+
+/// Drive @p config's hierarchy through access_batch with random chunk sizes
+/// and random budgets (none, zero, tiny, about a chunk's worth, huge) beside
+/// a one-at-a-time twin, until every core's 4000-reference trace is spent.
+/// The consumed count must be the first index at which the twin's running
+/// sum of gap plus access cycles reaches the budget (or the whole chunk),
+/// every result must match, and every counter must agree after each batch.
+void run_budget_differential(const cachesim::HierarchyConfig& config, std::uint64_t seed) {
+  cachesim::Hierarchy batched(config);
+  cachesim::Hierarchy serial(config);
+  util::Rng rng(seed);
+  std::vector<std::vector<cachesim::MemRef>> traces;
+  for (std::size_t core = 0; core < config.num_cores; ++core) {
+    traces.push_back(random_trace(seed + 10 + core, 4000));
+    for (auto& ref : traces.back()) {
+      ref.gap = static_cast<std::uint32_t>(rng.next_bool(0.2) ? 0 : rng.next_below(40));
+    }
+  }
+  std::vector<std::size_t> pos(config.num_cores, 0);
+  std::vector<cachesim::MemAccessResult> got(256);
+  const std::size_t total = config.num_cores * traces.front().size();
+  std::size_t done = 0;
+  std::size_t stopped_early = 0;
+  for (std::size_t batch = 0; done < total; ++batch) {
+    const auto core = static_cast<std::size_t>(rng.next_below(config.num_cores));
+    const auto& trace = traces[core];
+    if (pos[core] == trace.size()) continue;
+    const std::size_t n = std::min<std::size_t>(1 + rng.next_below(got.size()),
+                                                trace.size() - pos[core]);
+    std::optional<std::uint64_t> budget;
+    switch (rng.next_below(5)) {
+      case 0: break;
+      case 1: budget = 0; break;
+      case 2: budget = 1 + rng.next_below(300); break;
+      case 3: budget = rng.next_below(n * 120); break;
+      default: budget = std::uint64_t{1} << 40;
+    }
+    const cachesim::MemRef* refs = trace.data() + pos[core];
+    const cachesim::BatchSummary s = batched.access_batch(core, refs, n, got.data(), budget);
+
+    cachesim::BatchSummary want;
+    std::uint64_t spent = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const cachesim::MemAccessResult r = serial.access(core, refs[i].addr, refs[i].is_write);
+      expect_mem_result_eq(got[i], r, done + i);
+      if (testing::Test::HasFatalFailure()) return;
+      ++want.accesses;
+      want.cycles += r.cycles;
+      want.l1_hits += r.l1_hit;
+      want.l2_hits += r.l2_hit;
+      want.l3_hits += r.l3_hit;
+      want.tlb_hits += r.tlb_hit;
+      want.stream_prefetched += r.stream_prefetched;
+      spent += refs[i].gap + r.cycles;
+      if (budget && spent >= *budget) break;
+    }
+    ASSERT_EQ(s, want) << "batch " << batch << " of " << n << " refs";
+    stopped_early += s.accesses < n;
+    pos[core] += s.accesses;
+    done += s.accesses;
+    expect_hierarchy_state_eq(batched, serial, done);
+    if (testing::Test::HasFatalFailure()) return;
+    if (rng.next_below(50) == 0) {
+      batched.on_context_switch_in(core);
+      serial.on_context_switch_in(core);
+    }
+  }
+  EXPECT_GT(stopped_early, 50u) << "budgets must cut batches short";
+}
+
+TEST(DifferentialHierarchy, BudgetedBatchMatchesSerialOnDegenerateShape) {
+  run_budget_differential(tiny_shared_config(), 301);
+}
+
+TEST(DifferentialHierarchy, BudgetedBatchMatchesSerialOnThreeLevels) {
+  run_budget_differential(three_level_config(), 302);
+}
+
 // --- three-level shapes vs the broadcast reference -------------------------
 
 /// Interleaved multi-core traffic for a three-level machine. Each burst of
@@ -502,45 +611,51 @@ TEST(DifferentialHierarchy, ThreeLevelEightClustersPartitionedL3MatchBroadcastRe
   run_three_level_differential(c, 503);
 }
 
-TEST(DifferentialHierarchy, ThreeLevelResetMidRunMatchesFreshHierarchy) {
-  // reset() must leave no trace of the warm-up, sharer masks included: the
-  // replay after it equals a fresh hierarchy's, access by access.
-  const cachesim::HierarchyConfig config = replay_shape_config();
+/// Warm @p config's hierarchy with @p warmup accesses, reset() it, and
+/// require the next @p accesses to equal a fresh hierarchy's, access by
+/// access, with every level counter and every filter equal at the end.
+void expect_reset_matches_fresh(const cachesim::HierarchyConfig& config, std::size_t warmup,
+                                std::size_t accesses, std::uint64_t seed) {
   cachesim::Hierarchy reused(config);
-  ThreeLevelTraffic warmup(config.num_cores, 504);
-  for (std::size_t i = 0; i < 8000; ++i) {
-    const ThreeLevelTraffic::Access a = warmup.next();
+  ThreeLevelTraffic warm(config.num_cores, seed);
+  for (std::size_t i = 0; i < warmup; ++i) {
+    const ThreeLevelTraffic::Access a = warm.next();
     reused.access(a.core, a.addr, a.is_write);
     if (i % 997 == 0) reused.on_context_switch_in(a.core);
   }
   reused.reset();
 
   cachesim::Hierarchy fresh(config);
-  ThreeLevelTraffic traffic(config.num_cores, 505);
-  for (std::size_t i = 0; i < 16000; ++i) {
+  ThreeLevelTraffic traffic(config.num_cores, seed + 1);
+  for (std::size_t i = 0; i < accesses; ++i) {
     const ThreeLevelTraffic::Access a = traffic.next();
     expect_mem_result_eq(reused.access(a.core, a.addr, a.is_write),
                          fresh.access(a.core, a.addr, a.is_write), i);
-    if (HasFatalFailure()) return;
+    if (testing::Test::HasFatalFailure()) return;
     if (i % 997 == 0) {
       reused.on_context_switch_in(a.core);
       fresh.on_context_switch_in(a.core);
     }
   }
-  for (const char* level : {"l1", "l2", "l3"}) {
-    EXPECT_EQ(reused.level_stats(level), fresh.level_stats(level)) << level;
-  }
-  for (std::size_t core = 0; core < config.num_cores; core += config.cores_per_cluster()) {
-    const sig::FilterUnit& got = *reused.filter_for_core(core);
-    const sig::FilterUnit& want = *fresh.filter_for_core(core);
-    for (std::size_t e = 0; e < got.entries(); ++e) {
-      ASSERT_EQ(got.counter_at(e), want.counter_at(e)) << "core " << core << " counter " << e;
-    }
-    for (std::size_t c = 0; c < got.num_cores(); ++c) {
-      EXPECT_EQ(got.core_filter(c), want.core_filter(c)) << "core " << core << " slot " << c;
-      EXPECT_EQ(got.last_filter(c), want.last_filter(c)) << "core " << core << " slot " << c;
-    }
-  }
+  expect_hierarchy_state_eq(reused, fresh, accesses);
+}
+
+TEST(DifferentialHierarchy, ThreeLevelResetMidRunMatchesFreshHierarchy) {
+  // reset() must leave no trace of the warm-up, sharer masks included: the
+  // replay after it equals a fresh hierarchy's, access by access.
+  expect_reset_matches_fresh(replay_shape_config(), 8000, 16000, 504);
+}
+
+TEST(DifferentialHierarchy, RandomL2ResetMidRunMatchesFreshHierarchy) {
+  // A Random-replacement cache draws its victims from a seeded stream;
+  // reset() must rewind that stream too, or the victims after it differ.
+  cachesim::HierarchyConfig config;
+  config.num_cores = 2;
+  config.l1 = {1024, 2, 64};
+  config.l2 = {8 * 1024, 4, 64};
+  config.l2_replacement = cachesim::ReplacementKind::Random;
+  config.tlb_entries = 8;
+  expect_reset_matches_fresh(config, 5000, 20000, 506);
 }
 
 // --- topology matrix --------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/check.hpp"
 #include "workload/benchmark_model.hpp"
 
 namespace symbiosis::machine {
@@ -113,6 +114,32 @@ TEST(Machine, PageTrackingCountsFirstTouches) {
   EXPECT_EQ(t.counters().page_faults, 2u);
 }
 
+TEST(Machine, PageTrackingPins) {
+  // Two SPEC models time-sharing a page-tracking machine. The constants were
+  // recorded on the implementation that stepped a task one reference at a
+  // time through Hierarchy::access; a change that alters them changes the
+  // first-touch fault accounting (Fig 2) and must say so.
+  MachineConfig cfg = tiny_machine();
+  cfg.track_pages = true;
+  Machine m(cfg);
+  workload::ScaleConfig scale;
+  scale.length_scale = 0.02;
+  const TaskId mcf =
+      m.add_task(workload::make_spec_workload("mcf", address_space_base(0), util::Rng{1}, scale));
+  const TaskId lq = m.add_task(
+      workload::make_spec_workload("libquantum", address_space_base(1), util::Rng{2}, scale));
+  ASSERT_TRUE(m.run_to_all_complete());
+  const Task& a = m.task(mcf);
+  const Task& b = m.task(lq);
+  EXPECT_EQ(a.counters().page_faults, 69u);
+  EXPECT_EQ(b.counters().page_faults, 147u);
+  EXPECT_EQ(a.counters().instructions, 119'529u);
+  EXPECT_EQ(b.counters().instructions, 361'206u);
+  EXPECT_EQ(a.first_completion_user_cycles, 3'525'602u);
+  EXPECT_EQ(b.first_completion_user_cycles, 1'086'059u);
+  EXPECT_EQ(m.stats().steps, 114'312u);
+}
+
 TEST(Machine, BackgroundTaskDoesNotBlockCompletion) {
   Machine m(tiny_machine());
   m.add_task(tiny_workload("fg", 0, 5'000), 0);
@@ -156,6 +183,28 @@ TEST(Machine, CountersSplitCacheLevels) {
   EXPECT_EQ(counters.l2_accesses, counters.l1_misses);
   EXPECT_LE(counters.l2_misses, counters.l2_accesses);
   EXPECT_GT(counters.tlb_misses, 0u);
+}
+
+/// A stream that never completes yet stops yielding steps: a broken
+/// generator the machine must report instead of spinning on.
+class StalledStream final : public workload::TaskStream {
+ public:
+  std::size_t next_chunk(cachesim::MemRef*, std::size_t) override { return 0; }
+  [[nodiscard]] bool complete() const override { return false; }
+  void restart() override {}
+  [[nodiscard]] const std::string& name() const override { return name_; }
+  [[nodiscard]] std::uint64_t refs_issued() const override { return 0; }
+  [[nodiscard]] std::uint64_t total_refs() const override { return 1; }
+
+ private:
+  std::string name_ = "stalled";
+};
+
+TEST(Machine, StreamWithoutStepsIsACheckFailure) {
+  const util::ScopedCheckMode mode(util::CheckMode::Throw);
+  Machine m(tiny_machine());
+  m.add_task(std::make_unique<StalledStream>());
+  EXPECT_THROW(m.run_to_all_complete(), util::CheckError);
 }
 
 TEST(Machine, AddressSpaceBasesDisjoint) {

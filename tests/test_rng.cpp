@@ -181,6 +181,41 @@ TEST(ZipfSampler, IndexOfMatchesBinarySearchExactly) {
   }
 }
 
+TEST(ZipfSampler, IndexOfBatchMatchesIndexOfLaneByLane) {
+  // The lockstep search must give every key index_of's answer, on the same
+  // n x skew grid (skew 8's duplicate-tail CDF, n = 1 and 2 included), with
+  // the same probes, at batch sizes 1, 3 and 64.
+  const std::vector<double> uniform = [] {
+    Rng rng(43);
+    std::vector<double> u(200'000);
+    for (double& x : u) x = rng.next_double();
+    return u;
+  }();
+  for (const std::size_t n : {1, 2, 3, 1000, 4096, 4915}) {
+    for (const double skew : {0.0, 0.7, 0.99, 1.1, 8.0}) {
+      const ZipfSampler z(n, skew);
+      std::vector<double> probes{0.0, std::nextafter(1.0, 0.0)};
+      for (const double c : z.cdf()) {
+        probes.push_back(c);
+        probes.push_back(std::nextafter(c, 0.0));
+        probes.push_back(std::nextafter(c, 2.0));
+      }
+      probes.insert(probes.end(), uniform.begin(), uniform.end());
+      std::vector<std::size_t> got(probes.size());
+      for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+        for (std::size_t at = 0; at < probes.size(); at += batch) {
+          const std::size_t m = std::min(batch, probes.size() - at);
+          z.index_of_batch(probes.data() + at, got.data() + at, m);
+        }
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+          ASSERT_EQ(got[i], z.index_of(probes[i]))
+              << "n=" << n << " skew=" << skew << " batch=" << batch << " u=" << probes[i];
+        }
+      }
+    }
+  }
+}
+
 TEST(ZipfSampler, SampleIsIndexOfNextDouble) {
   const ZipfSampler z(4096, 0.99);
   Rng a(41);
