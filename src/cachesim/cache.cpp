@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "util/check.hpp"
-#include "util/hotpath.hpp"
 
 namespace symbiosis::cachesim {
 
@@ -65,73 +64,6 @@ void Cache::set_partition(const CachePartition& partition,
     fill_range_[r] = group_range[group_of_requestor[r]];
   }
   partitioned_ = true;
-}
-
-SYM_HOT AccessResult Cache::access(LineAddr line, bool is_write, std::size_t requestor) {
-  SYM_DCHECK_BOUNDS(requestor, per_requestor_.size(), "cachesim.bounds");
-  AccessResult result;
-  const auto set = static_cast<std::size_t>(line & set_mask_);
-  const std::uint64_t tag = line >> set_bits_;
-  SYM_DCHECK_BOUNDS(set, sets_, "cachesim.bounds") << "set index from line decode";
-  result.set = set;
-
-  CacheStats& mine = per_requestor_[requestor];
-  ++total_.accesses;
-  ++mine.accesses;
-
-  // Hit path.
-  const std::size_t base = set * ways_;
-  const std::size_t hit_way = find(set, tag);
-  if (hit_way < ways_) {
-    result.hit = true;
-    result.way = hit_way;
-    dirty_[base + hit_way] |= static_cast<std::uint8_t>(is_write);
-    replacement_.on_touch(set, hit_way);
-    ++total_.hits;
-    ++mine.hits;
-    return result;
-  }
-
-  // Miss: fill into an invalid way of the requestor's range if any, else
-  // evict the policy's victim from that range. Unpartitioned caches have
-  // every range pre-resolved to [0, ways), making this path identical to
-  // the pre-partition scan.
-  ++total_.misses;
-  ++mine.misses;
-
-  std::uint64_t* const row = &tags_[base];
-  const WayRange range = fill_range_[requestor];
-  std::size_t way = range.begin;
-  if (free_lines_ == 0) way = range.end;  // nothing to find: skip the scan
-  while (way < range.end && (row[way] != kNoTag || way == alias_way_)) ++way;
-  if (way < range.end) {
-    --free_lines_;
-  } else {
-    way = replacement_.victim_in(set, range.begin, range.end);
-    SYM_DCHECK(way >= range.begin && way < range.end, "cachesim.replacement")
-        << "replacement policy chose a victim outside the requestor's way range";
-    SYM_DCHECK(row[way] != kNoTag || way == alias_way_, "cachesim.replacement")
-        << "victim way " << way << " of full set " << set << " is invalid";
-    const std::size_t victim_owner = owner_[base + way];
-    SYM_DCHECK_BOUNDS(victim_owner, per_requestor_.size(), "cachesim.bounds");
-    result.evicted = true;
-    result.victim_line = (row[way] << set_bits_) | set;
-    result.victim_dirty = dirty_[base + way] != 0;
-    ++total_.evictions;
-    ++per_requestor_[victim_owner].evictions;
-    if (result.victim_dirty) {
-      ++total_.writebacks;
-      ++per_requestor_[victim_owner].writebacks;
-    }
-  }
-
-  row[way] = tag;
-  dirty_[base + way] = static_cast<std::uint8_t>(is_write);
-  owner_[base + way] = static_cast<std::uint32_t>(requestor);
-  if (tag == kNoTag || way == alias_way_) [[unlikely]] alias_way_ = tag == kNoTag ? way : kNoWay;
-  replacement_.on_fill(set, way);
-  result.way = way;
-  return result;
 }
 
 bool Cache::probe(LineAddr line) const noexcept {

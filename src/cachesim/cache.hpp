@@ -5,11 +5,14 @@
 // the signature hardware (sig::FilterUnit) can shadow the cache's state.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cachesim/addr.hpp"
 #include "cachesim/replacement.hpp"
+#include "util/check.hpp"
 
 namespace symbiosis::cachesim {
 
@@ -66,7 +69,10 @@ class Cache {
 
   /// Access one line. On a miss the line is filled immediately (allocate on
   /// read AND write) and any displaced victim is reported in the result.
-  AccessResult access(LineAddr line, bool is_write, std::size_t requestor = 0);
+  /// Defined below the class and forced inline, so the hierarchy walk never
+  /// returns an AccessResult through memory.
+  [[gnu::always_inline]] inline AccessResult access(LineAddr line, bool is_write,
+                                                    std::size_t requestor = 0);
 
   /// Tag lookup without perturbing replacement state or stats.
   [[nodiscard]] bool probe(LineAddr line) const noexcept;
@@ -117,14 +123,42 @@ class Cache {
     std::size_t end = 0;
   };
 
+  /// Match mask of the ways @p w... of @p row: bit w set when row[w] ==
+  /// @p tag. The fold unrolls the compares at compile time.
+  template <std::size_t... w>
+  [[nodiscard, gnu::always_inline]] static std::uint64_t match_mask(
+      const std::uint64_t* row, std::uint64_t tag, std::index_sequence<w...>) noexcept {
+    return ((std::uint64_t{row[w] == tag} << w) | ...);
+  }
+
+  /// Lowest way of a @p ways-way set whose tag in @p row is @p tag, or
+  /// @p ways when none is. The set is matched kLanes ways at a time, each
+  /// block one match_mask, and countr_zero picks the lowest match, so
+  /// nothing inside a block branches on where the tag sits. find() runs the
+  /// 8- and 16-way geometries every preset uses as one block, and any other
+  /// associativity as 1-lane blocks (an early-exit scan).
+  template <std::size_t kLanes>
+  [[nodiscard, gnu::always_inline]] static std::size_t match_way(const std::uint64_t* row,
+                                                                 std::uint64_t tag,
+                                                                 std::size_t ways) noexcept {
+    for (std::size_t base = 0; base < ways; base += kLanes) {
+      const std::uint64_t mask = match_mask(row + base, tag, std::make_index_sequence<kLanes>{});
+      if (mask != 0) return base + static_cast<std::size_t>(std::countr_zero(mask));
+    }
+    return ways;
+  }
+
   /// Way of @p set holding @p tag, or ways_ when absent.
-  [[nodiscard]] std::size_t find(std::size_t set, std::uint64_t tag) const noexcept {
+  [[nodiscard, gnu::always_inline]] std::size_t find(std::size_t set,
+                                                     std::uint64_t tag) const noexcept {
     // The sentinel also marks every invalid way, so it cannot be searched for.
     if (tag == kNoTag) [[unlikely]] return alias_way_ == kNoWay ? ways_ : alias_way_;
     const std::uint64_t* const row = &tags_[set * ways_];
-    std::size_t w = 0;
-    while (w < ways_ && row[w] != tag) ++w;
-    return w;
+    switch (ways_) {
+      case 8: return match_way<8>(row, tag, 8);
+      case 16: return match_way<16>(row, tag, 16);
+      default: return match_way<1>(row, tag, ways_);
+    }
   }
 
   CacheGeometry geom_;
@@ -154,5 +188,72 @@ class Cache {
   std::vector<WayRange> fill_range_;
   bool partitioned_ = false;
 };
+
+AccessResult Cache::access(LineAddr line, bool is_write, std::size_t requestor) {
+  SYM_DCHECK_BOUNDS(requestor, per_requestor_.size(), "cachesim.bounds");
+  AccessResult result;
+  const auto set = static_cast<std::size_t>(line & set_mask_);
+  const std::uint64_t tag = line >> set_bits_;
+  SYM_DCHECK_BOUNDS(set, sets_, "cachesim.bounds") << "set index from line decode";
+  result.set = set;
+
+  CacheStats& mine = per_requestor_[requestor];
+  ++total_.accesses;
+  ++mine.accesses;
+
+  // Hit path.
+  const std::size_t base = set * ways_;
+  const std::size_t hit_way = find(set, tag);
+  if (hit_way < ways_) {
+    result.hit = true;
+    result.way = hit_way;
+    dirty_[base + hit_way] |= static_cast<std::uint8_t>(is_write);
+    replacement_.on_touch(set, hit_way);
+    ++total_.hits;
+    ++mine.hits;
+    return result;
+  }
+
+  // Miss: fill into an invalid way of the requestor's range if any, else
+  // evict the policy's victim from that range. Unpartitioned caches have
+  // every range pre-resolved to [0, ways), making this path identical to
+  // the pre-partition scan.
+  ++total_.misses;
+  ++mine.misses;
+
+  std::uint64_t* const row = &tags_[base];
+  const WayRange range = fill_range_[requestor];
+  std::size_t way = range.begin;
+  if (free_lines_ == 0) way = range.end;  // nothing to find: skip the scan
+  while (way < range.end && (row[way] != kNoTag || way == alias_way_)) ++way;
+  if (way < range.end) {
+    --free_lines_;
+  } else {
+    way = replacement_.victim_in(set, range.begin, range.end);
+    SYM_DCHECK(way >= range.begin && way < range.end, "cachesim.replacement")
+        << "replacement policy chose a victim outside the requestor's way range";
+    SYM_DCHECK(row[way] != kNoTag || way == alias_way_, "cachesim.replacement")
+        << "victim way " << way << " of full set " << set << " is invalid";
+    const std::size_t victim_owner = owner_[base + way];
+    SYM_DCHECK_BOUNDS(victim_owner, per_requestor_.size(), "cachesim.bounds");
+    result.evicted = true;
+    result.victim_line = (row[way] << set_bits_) | set;
+    result.victim_dirty = dirty_[base + way] != 0;
+    ++total_.evictions;
+    ++per_requestor_[victim_owner].evictions;
+    if (result.victim_dirty) {
+      ++total_.writebacks;
+      ++per_requestor_[victim_owner].writebacks;
+    }
+  }
+
+  row[way] = tag;
+  dirty_[base + way] = static_cast<std::uint8_t>(is_write);
+  owner_[base + way] = static_cast<std::uint32_t>(requestor);
+  if (tag == kNoTag || way == alias_way_) [[unlikely]] alias_way_ = tag == kNoTag ? way : kNoWay;
+  replacement_.on_fill(set, way);
+  result.way = way;
+  return result;
+}
 
 }  // namespace symbiosis::cachesim

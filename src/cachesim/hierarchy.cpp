@@ -90,6 +90,7 @@ Hierarchy::Hierarchy(HierarchyConfig config) : config_(std::move(config)) {
   config_.validate();  // SYM_CHECK: divisibility, partitions, L3 line size
   clusters_ = config_.clusters();
   cores_per_cluster_ = config_.cores_per_cluster();
+  line_bits_ = config_.l1.line_bits();
 
   l1_.reserve(config_.num_cores);
   tlb_.reserve(config_.num_cores);
@@ -147,11 +148,11 @@ SYM_COLD void Hierarchy::record_l2_eviction(LineAddr victim_line, std::size_t se
                                    static_cast<std::uint32_t>(core)}));
 }
 
-SYM_HOT MemAccessResult Hierarchy::access_one(std::size_t core, std::size_t cluster, Addr addr,
-                                              bool is_write, Cache& l1, Cache& l2, Tlb& tlb,
-                                              sig::FilterUnit* filter, StreamState& ss) {
+MemAccessResult Hierarchy::access_one(std::size_t core, std::size_t cluster, Addr addr,
+                                      bool is_write, Cache& l1, Cache& l2, Tlb& tlb,
+                                      sig::FilterUnit* filter, StreamState& ss) {
   MemAccessResult result;
-  const LineAddr line = config_.l1.line_of(addr);
+  const LineAddr line = addr >> line_bits_;
 
   result.tlb_hit = tlb.access(addr);
   if (!result.tlb_hit) result.cycles += config_.latency.tlb_miss;
@@ -266,26 +267,29 @@ SYM_HOT BatchSummary Hierarchy::access_batch(std::size_t core, const MemRef* ref
   const bool bounded = budget.has_value();
   const std::uint64_t limit = budget.value_or(0);
 
-  BatchSummary summary;
+  // Counted in a local and copied out once: the returned summary lives in
+  // the caller's frame, so every out-of-line call in the loop (TLB, victim
+  // search, filter) would force its fields back to memory.
+  BatchSummary sum;
   std::uint64_t spent = 0;
   std::size_t i = 0;
   while (i < n) {
     const MemRef& ref = refs[i];
     const MemAccessResult r = access_one(core, cluster, ref.addr, ref.is_write, l1, l2, tlb,
                                          filter, ss);
-    summary.cycles += r.cycles;
-    summary.l1_hits += r.l1_hit;
-    summary.l2_hits += r.l2_hit;
-    summary.l3_hits += r.l3_hit;
-    summary.tlb_hits += r.tlb_hit;
-    summary.stream_prefetched += r.stream_prefetched;
+    sum.cycles += r.cycles;
+    sum.l1_hits += r.l1_hit;
+    sum.l2_hits += r.l2_hit;
+    sum.l3_hits += r.l3_hit;
+    sum.tlb_hits += r.tlb_hit;
+    sum.stream_prefetched += r.stream_prefetched;
     if (results) results[i] = r;
     ++i;
     spent += std::uint64_t{ref.gap} + r.cycles;
     if (bounded && spent >= limit) break;
   }
-  summary.accesses = i;
-  return summary;
+  sum.accesses = i;
+  return BatchSummary{sum};
 }
 
 void Hierarchy::on_context_switch_in(std::size_t core) {

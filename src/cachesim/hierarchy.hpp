@@ -275,10 +275,15 @@ class Hierarchy {
   /// Shared per-access body: access() and access_batch() both funnel here so
   /// the batched path cannot drift from the canonical one. @p cluster is
   /// @p core's cluster (hoisted by the callers); @p l2 and @p filter are the
-  /// cluster's.
-  MemAccessResult access_one(std::size_t core, std::size_t cluster, Addr addr, bool is_write,
-                             Cache& l1, Cache& l2, Tlb& tlb, sig::FilterUnit* filter,
-                             StreamState& ss);
+  /// cluster's. Forced inline into both callers, with the Cache::access calls
+  /// inlined into it: an out-of-line call returns the MemAccessResult through
+  /// memory, stored a byte at a time and reloaded as one word, which stalls
+  /// store forwarding on every reference.
+  [[gnu::always_inline]] inline MemAccessResult access_one(std::size_t core, std::size_t cluster,
+                                                           Addr addr, bool is_write, Cache& l1,
+                                                           Cache& l2, Tlb& tlb,
+                                                           sig::FilterUnit* filter,
+                                                           StreamState& ss);
 
   /// Flight-recorder emission for an L2 eviction. A SYM_COLD sink: the
   /// recorder's enabled() check, the event construction (a std::variant
@@ -299,6 +304,8 @@ class Hierarchy {
   HierarchyConfig config_;
   std::size_t clusters_ = 1;
   std::size_t cores_per_cluster_ = 1;
+  /// log2 of the line size, decoded once like Cache's geometry.
+  unsigned line_bits_ = 0;
   std::vector<std::unique_ptr<Cache>> l1_;
   std::vector<std::unique_ptr<Cache>> l2_;  // one per cluster
   std::unique_ptr<Cache> l3_;               // null on topologies without an L3

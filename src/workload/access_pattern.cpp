@@ -79,6 +79,11 @@ class DrawnPattern : public PatternBase {
   Derived& self() noexcept { return static_cast<Derived&>(*this); }
 };
 
+/// Sequential scan of the region, one line per step, wrapping at its end.
+/// Both PatternKind::Sequential and PatternKind::Stream build it: a stream
+/// is the same scan over a region so large relative to the cache that lines
+/// are evicted before reuse (a pure bandwidth stream); only the spec's
+/// kind, and so its name, tells them apart.
 class SequentialPattern final : public DrawnPattern<SequentialPattern> {
  public:
   using DrawnPattern::DrawnPattern;
@@ -187,22 +192,6 @@ class PointerChasePattern final : public DrawnPattern<PointerChasePattern> {
   std::uint64_t start_ = 0;
 };
 
-/// Sequential scan of a region so large relative to the cache that lines
-/// are evicted before reuse: a pure bandwidth stream.
-class StreamPattern final : public DrawnPattern<StreamPattern> {
- public:
-  using DrawnPattern::DrawnPattern;
-  Addr draw(util::Rng&) {
-    const Addr a = addr_of_line(pos_);
-    pos_ = (pos_ + 1) % lines_;
-    return a;
-  }
-  void reset() override { pos_ = 0; }
-
- private:
-  std::uint64_t pos_ = 0;
-};
-
 /// Temporal-locality generator: with probability `locality` reuse a recent
 /// line (LRU-stack depth drawn geometrically), otherwise touch the next new
 /// line. Gives a smooth knob between cache-friendly and cache-hostile.
@@ -303,12 +292,12 @@ std::unique_ptr<AccessPattern> make_pattern(const PatternSpec& spec, Addr base, 
   SYM_CHECK_EQ(base % spec.line_bytes, Addr{0}, "workload.pattern")
       << "pattern base must be line-aligned";
   switch (spec.kind) {
-    case PatternKind::Sequential: return std::make_unique<SequentialPattern>(spec, base);
+    case PatternKind::Sequential:
+    case PatternKind::Stream: return std::make_unique<SequentialPattern>(spec, base);
     case PatternKind::Strided: return std::make_unique<StridedPattern>(spec, base);
     case PatternKind::Random: return std::make_unique<RandomPattern>(spec, base);
     case PatternKind::Zipf: return std::make_unique<ZipfPattern>(spec, base, rng);
     case PatternKind::PointerChase: return std::make_unique<PointerChasePattern>(spec, base, rng);
-    case PatternKind::Stream: return std::make_unique<StreamPattern>(spec, base);
     case PatternKind::StackDistance: return std::make_unique<StackDistancePattern>(spec, base);
   }
   throw std::invalid_argument("make_pattern: bad kind");

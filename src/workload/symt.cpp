@@ -64,7 +64,7 @@ void symt_put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
   out.push_back(static_cast<std::uint8_t>(value));
 }
 
-std::uint64_t symt_get_varint(const std::uint8_t*& p, const std::uint8_t* end) {
+std::uint64_t symt_get_varint_slow(const std::uint8_t*& p, const std::uint8_t* end) {
   std::uint64_t value = 0;
   unsigned shift = 0;
   for (;;) {

@@ -84,10 +84,37 @@ struct SymtRecord {
 /// Append @p value as LEB128 (7 bits per byte, high bit = continuation).
 void symt_put_varint(std::vector<std::uint8_t>& out, std::uint64_t value);
 
-/// Decode one varint from [p, end). Advances @p p past the varint. Throws
-/// std::runtime_error on overflow (more than 10 bytes / 64 significant bits)
-/// or when the buffer ends mid-varint.
-[[nodiscard]] std::uint64_t symt_get_varint(const std::uint8_t*& p, const std::uint8_t* end);
+/// Decode one varint from [p, end), any length. Advances @p p past the
+/// varint. Throws std::runtime_error on overflow (more than 10 bytes / 64
+/// significant bits) or when the buffer ends mid-varint.
+[[nodiscard]] std::uint64_t symt_get_varint_slow(const std::uint8_t*& p, const std::uint8_t* end);
+
+/// symt_get_varint_slow with an inline fast path for the 1-3-byte varints
+/// (values below 2^21) that make up nearly every delta and gap: with at
+/// least 3 bytes left it decodes them without a call. Longer varints and
+/// the last 2 bytes of a buffer take the slow decoder, so the values, end
+/// pointers and diagnostics are the slow decoder's.
+[[nodiscard]] inline std::uint64_t symt_get_varint(const std::uint8_t*& p,
+                                                   const std::uint8_t* end) {
+  if (end - p >= 3) [[likely]] {
+    const std::uint64_t b0 = p[0];
+    if (b0 < 0x80) {
+      p += 1;
+      return b0;
+    }
+    const std::uint64_t b1 = p[1];
+    if (b1 < 0x80) {
+      p += 2;
+      return (b0 & 0x7f) | (b1 << 7);
+    }
+    const std::uint64_t b2 = p[2];
+    if (b2 < 0x80) {
+      p += 3;
+      return (b0 & 0x7f) | ((b1 & 0x7f) << 7) | (b2 << 14);
+    }
+  }
+  return symt_get_varint_slow(p, end);
+}
 
 [[nodiscard]] constexpr std::uint64_t symt_zigzag(std::int64_t v) noexcept {
   return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);

@@ -123,7 +123,7 @@ void run_replacement_differential(cachesim::ReplacementKind kind,
     ref.set_partition(partition, group_of);
   }
 
-  const std::string label = cachesim::to_string(kind);
+  const std::string label = cachesim::to_string(kind) + " " + geom.describe();
   util::Rng rng(seed);
   for (std::size_t i = 0; i < kAccessesPerKernel; ++i) {
     const cachesim::LineAddr line = lines[rng.next_below(lines.size())];
@@ -167,9 +167,10 @@ constexpr cachesim::ReplacementKind kAllKinds[] = {
     cachesim::ReplacementKind::Random, cachesim::ReplacementKind::TreePlru,
     cachesim::ReplacementKind::Srrip};
 
-/// 16 sets x 8 ways over a 256-line space: constant eviction pressure.
-std::vector<cachesim::LineAddr> dense_lines() {
-  std::vector<cachesim::LineAddr> lines(256);
+/// Lines 0 .. n - 1. At twice a cache's line count (256 for 16 sets x 8
+/// ways) every set is under constant eviction pressure.
+std::vector<cachesim::LineAddr> dense_lines(std::size_t n) {
+  std::vector<cachesim::LineAddr> lines(n);
   for (std::size_t i = 0; i < lines.size(); ++i) lines[i] = i;
   return lines;
 }
@@ -177,7 +178,7 @@ std::vector<cachesim::LineAddr> dense_lines() {
 TEST(DifferentialCache, EveryReplacementKindMatchesReference) {
   const cachesim::CacheGeometry geom{16 * 8 * 64, 8, 64};
   for (const auto kind : kAllKinds) {
-    run_replacement_differential(kind, geom, {}, dense_lines(), 14);
+    run_replacement_differential(kind, geom, {}, dense_lines(256), 14);
   }
 }
 
@@ -188,7 +189,7 @@ TEST(DifferentialCache, PartitionedFillsMatchReference) {
   const cachesim::CachePartition partition{{3, 2, 3}};
   for (const auto kind : kAllKinds) {
     if (kind == cachesim::ReplacementKind::TreePlru) continue;
-    run_replacement_differential(kind, geom, partition, dense_lines(), 15);
+    run_replacement_differential(kind, geom, partition, dense_lines(256), 15);
   }
 }
 
@@ -204,6 +205,60 @@ TEST(DifferentialCache, OneSetCacheAtLineAllOnesMatchesReference) {
   }
   const cachesim::CachePartition partition{{1, 2, 1}};
   run_replacement_differential(cachesim::ReplacementKind::Lru, geom, partition, lines, 17);
+}
+
+// ---------------------------------------------------------------------------
+// Every associativity the tag match is instantiated at. Cache::find matches
+// the 8- and 16-way geometries as one unrolled block each and any other
+// associativity way by way; the 8-way cases above cover the first, these
+// the 16-way block and the generic match (12 ways).
+// ---------------------------------------------------------------------------
+
+TEST(DifferentialCache, SixteenWayEveryReplacementKindMatchesReference) {
+  const cachesim::CacheGeometry geom{16 * 16 * 64, 16, 64};
+  for (const auto kind : kAllKinds) {
+    run_replacement_differential(kind, geom, {}, dense_lines(512), 20);
+  }
+}
+
+TEST(DifferentialCache, SixteenWayPartitionedFillsMatchReference) {
+  const cachesim::CacheGeometry geom{16 * 16 * 64, 16, 64};
+  const cachesim::CachePartition partition{{6, 4, 6}};
+  for (const auto kind : kAllKinds) {
+    if (kind == cachesim::ReplacementKind::TreePlru) continue;
+    run_replacement_differential(kind, geom, partition, dense_lines(512), 21);
+  }
+}
+
+TEST(DifferentialCache, TwelveWayGenericMatchMatchesReference) {
+  // No unrolled block for 12 ways; tree-PLRU needs a power-of-two
+  // associativity, so it is left out.
+  const cachesim::CacheGeometry geom{16 * 12 * 64, 12, 64};
+  const cachesim::CachePartition partition{{5, 3, 4}};
+  for (const auto kind : kAllKinds) {
+    if (kind == cachesim::ReplacementKind::TreePlru) continue;
+    run_replacement_differential(kind, geom, {}, dense_lines(384), 22);
+    run_replacement_differential(kind, geom, partition, dense_lines(384), 23);
+  }
+}
+
+TEST(DifferentialCache, OneSetAliasMatchesReferenceAtEveryMatchWidth) {
+  // The 1-set ~0 alias at 8, 12 and 16 ways: line ~0 shares its tag with
+  // the invalid-way sentinel whichever match handles the set, and with
+  // 1.5x as many lines as ways it is filled, hit, evicted and invalidated.
+  const cachesim::LineAddr top = ~cachesim::LineAddr{0};
+  for (const std::size_t ways : {std::size_t{8}, std::size_t{12}, std::size_t{16}}) {
+    const cachesim::CacheGeometry geom{ways * 64, ways, 64};
+    std::vector<cachesim::LineAddr> lines{top, top - 1};
+    for (cachesim::LineAddr l = 0; lines.size() < ways + ways / 2; ++l) lines.push_back(l);
+    for (const auto kind : kAllKinds) {
+      if (kind == cachesim::ReplacementKind::TreePlru && ways == 12) continue;
+      run_replacement_differential(kind, geom, {}, lines, 24 + ways);
+    }
+    const cachesim::CachePartition partition{{ways / 2 - 1, 2, ways / 2 - 1}};
+    run_replacement_differential(cachesim::ReplacementKind::Lru, geom, partition, lines,
+                                 25 + ways);
+  }
 }
 
 // ---------------------------------------------------------------------------

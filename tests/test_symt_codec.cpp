@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -72,6 +73,80 @@ TEST(SymtVarint, TruncatedAndOverflowingRejected) {
   const std::vector<std::uint8_t> overflow(11, 0xff);
   const std::uint8_t* p = overflow.data();
   EXPECT_THROW((void)symt_get_varint(p, overflow.data() + overflow.size()), std::runtime_error);
+}
+
+/// Decodes [bytes, bytes + len) with symt_get_varint (inline fast path) and
+/// with symt_get_varint_slow, and requires the same value, the same end
+/// pointer and the same exception message (both empty when neither throws).
+/// Returns the value.
+std::uint64_t expect_decoders_agree(const std::vector<std::uint8_t>& bytes, std::size_t len,
+                                    const std::string& label) {
+  const std::uint8_t* const end = bytes.data() + len;
+  const std::uint8_t* fast = bytes.data();
+  const std::uint8_t* slow = bytes.data();
+  std::uint64_t fast_value = 0;
+  std::uint64_t slow_value = 0;
+  std::string fast_error;
+  std::string slow_error;
+  try {
+    fast_value = symt_get_varint(fast, end);
+  } catch (const std::runtime_error& e) {
+    fast_error = e.what();
+  }
+  try {
+    slow_value = symt_get_varint_slow(slow, end);
+  } catch (const std::runtime_error& e) {
+    slow_error = e.what();
+  }
+  EXPECT_EQ(fast_error, slow_error) << label;
+  EXPECT_EQ(fast_value, slow_value) << label;
+  EXPECT_EQ(fast - bytes.data(), slow - bytes.data()) << label;
+  return fast_value;
+}
+
+TEST(SymtVarint, FastPathMatchesSlowDecoderAtEveryLengthBoundary) {
+  // The last 1-, 2- and 3-byte values and the first 2-, 3- and 4-byte ones,
+  // each followed by 0-4 more bytes: the fast path needs 3 bytes left, so
+  // this crosses its threshold with every length it decodes or hands on.
+  const std::uint64_t values[] = {0,      127,    128, 16383, 16384, (1u << 21) - 1,
+                                  1u << 21};
+  for (const std::uint64_t v : values) {
+    for (std::size_t after = 0; after <= 4; ++after) {
+      std::vector<std::uint8_t> bytes;
+      symt_put_varint(bytes, v);
+      const std::size_t size = bytes.size();
+      // Continuation bytes after the varint: a decoder reading past its
+      // terminator would fold them into the value.
+      bytes.insert(bytes.end(), after, 0xff);
+      const std::string label = std::to_string(v) + " + " + std::to_string(after);
+      EXPECT_EQ(expect_decoders_agree(bytes, bytes.size(), label), v) << label;
+      const std::uint8_t* p = bytes.data();
+      (void)symt_get_varint(p, bytes.data() + bytes.size());
+      EXPECT_EQ(p, bytes.data() + size) << label;
+      // Every truncation of the varint itself, with the bytes after it cut.
+      for (std::size_t len = 0; len < size; ++len) {
+        expect_decoders_agree(bytes, len, label + " cut to " + std::to_string(len));
+      }
+    }
+  }
+}
+
+TEST(SymtVarint, FastPathMatchesSlowDecoderOnNonCanonicalAndOverlong) {
+  for (std::size_t after = 0; after <= 3; ++after) {
+    // 0x80 0x00: a two-byte zero. Both decoders accept it and consume 2.
+    std::vector<std::uint8_t> zero{0x80, 0x00};
+    zero.insert(zero.end(), after, 0x01);
+    EXPECT_EQ(expect_decoders_agree(zero, zero.size(), "0x80 0x00"), 0u);
+    for (std::size_t len = 0; len < 2; ++len) expect_decoders_agree(zero, len, "0x80 cut");
+  }
+  // Longer varints go to the slow decoder whole, overflow diagnostics included.
+  const std::vector<std::uint8_t> overflow(11, 0xff);
+  for (std::size_t len = 0; len <= overflow.size(); ++len) {
+    expect_decoders_agree(overflow, len, "overflow cut to " + std::to_string(len));
+  }
+  std::vector<std::uint8_t> widest;
+  symt_put_varint(widest, ~std::uint64_t{0});
+  EXPECT_EQ(expect_decoders_agree(widest, widest.size(), "2^64 - 1"), ~std::uint64_t{0});
 }
 
 /// Pseudorandom mixed-record trace of @p records_per_thread records on
