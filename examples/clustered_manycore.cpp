@@ -101,7 +101,7 @@ int run_cli(int argc, char** argv) {
     const sig::FilterUnit& a = *h.filter_for_core(0);
     const sig::FilterUnit& b = *h.filter_for_core(shape.cores_per_cluster());
     const std::size_t score =
-        sig::disjoint_symbiosis(a.compute_rbv(0), b.core_filter_weight(0));
+        sig::disjoint_symbiosis(a.compute_rbv(0).popcount(), b.core_filter_weight(0));
     std::printf("cross-cluster symbiosis (core 0 vs first core of cluster 1): %zu\n", score);
   }
   return 0;

@@ -118,18 +118,12 @@ PhaseVote run_vote(const VoteTask& task) {
   auto allocator =
       sched::make_allocator(task.multithreaded ? "multithread" : config.allocator, config.seed);
   const std::size_t cores = config.machine.hierarchy.num_cores;
-  const auto ids = profiled_task_ids(m);
 
   PhaseVote vote;
   std::map<std::string, sched::Allocation> voted;
   m.set_periodic_hook(config.allocator_period_cycles, [&](machine::Machine& mm) {
-    auto profiles = collect_profiles(mm);
-    // Every task must have been context-switched out at least once this
-    // window, or its signature is stale noise; skip the vote if not.
-    const bool ready = std::all_of(profiles.begin(), profiles.end(), [&](const auto& p) {
-      return mm.task(ids[p.task_index]).signature().samples() > 0;
-    });
-    if (!ready) return;
+    const auto profiles = window_profiles(mm);
+    if (profiles.empty()) return;
     const sched::Allocation alloc = allocator->allocate(profiles, cores);
     const std::string key = alloc.key();
     obs::counter("core.phase1.votes").add(1);

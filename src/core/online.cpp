@@ -36,12 +36,8 @@ OnlineRun run_online(const OnlineConfig& config, const std::vector<std::string>&
   std::size_t repinnings = 0;
 
   m.set_periodic_hook(pc.allocator_period_cycles, [&](machine::Machine& mm) {
-    auto profiles = collect_profiles(mm);
-    bool ready = true;
-    for (const auto& p : profiles) {
-      ready = ready && mm.task(ids[p.task_index]).signature().samples() > 0;
-    }
-    if (!ready) return;
+    const auto profiles = window_profiles(mm);
+    if (profiles.empty()) return;
     const sched::Allocation alloc = allocator->allocate(profiles, cores);
     const std::string key = alloc.key();
     // Confirmation hysteresis: one noisy window must not migrate the world.

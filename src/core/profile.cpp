@@ -4,6 +4,8 @@
 
 namespace symbiosis::core {
 
+namespace {
+
 sched::TaskProfile profile_of(const machine::Task& task) {
   sched::TaskProfile p;
   p.pid = task.pid();
@@ -16,7 +18,6 @@ sched::TaskProfile profile_of(const machine::Task& task) {
     p.symbiosis_per_core[c] = signature.mean_symbiosis(c);
   }
   const auto& counters = task.counters();
-  p.l2_miss_rate = counters.l2_miss_rate();
   p.l2_misses_per_kilo_instr =
       counters.instructions
           ? 1000.0 * static_cast<double>(counters.l2_misses) /
@@ -24,6 +25,8 @@ sched::TaskProfile profile_of(const machine::Task& task) {
           : 0.0;
   return p;
 }
+
+}  // namespace
 
 std::vector<sched::TaskProfile> collect_profiles(const machine::Machine& m) {
   std::vector<sched::TaskProfile> profiles;
@@ -37,12 +40,12 @@ std::vector<sched::TaskProfile> collect_profiles(const machine::Machine& m) {
   return profiles;
 }
 
-std::vector<machine::TaskId> profiled_task_ids(const machine::Machine& m) {
-  std::vector<machine::TaskId> ids;
+std::vector<sched::TaskProfile> window_profiles(const machine::Machine& m) {
   for (machine::TaskId id = 0; id < m.task_count(); ++id) {
-    if (!m.task(id).background) ids.push_back(id);
+    const machine::Task& task = m.task(id);
+    if (!task.background && task.signature().samples() == 0) return {};
   }
-  return ids;
+  return collect_profiles(m);
 }
 
 void apply_allocation(machine::Machine& m, const std::vector<machine::TaskId>& ids,

@@ -12,16 +12,16 @@
 
 namespace symbiosis::core {
 
-/// Snapshot one task.
-[[nodiscard]] sched::TaskProfile profile_of(const machine::Task& task);
-
 /// Snapshot all non-background tasks, in task-id order. The profile's
 /// task_index refers to this vector's positions.
 [[nodiscard]] std::vector<sched::TaskProfile> collect_profiles(const machine::Machine& m);
 
-/// Map profile positions back to machine task ids (parallel to
-/// collect_profiles output).
-[[nodiscard]] std::vector<machine::TaskId> profiled_task_ids(const machine::Machine& m);
+/// The vote-window rule: collect_profiles(m) when every profiled task has
+/// a signature sample this window (it was context-switched out at least
+/// once since the last clear_signature_windows), else an empty vector. A
+/// task without one would hand the allocator stale noise, so the window
+/// casts no vote.
+[[nodiscard]] std::vector<sched::TaskProfile> window_profiles(const machine::Machine& m);
 
 /// Apply an allocation (group == core) to the machine via affinity bits,
 /// exactly like the paper's monitor calling sched_setaffinity. @p ids must

@@ -27,7 +27,7 @@ struct MachineConfig {
   /// quanta on every core would phase-LOCK the cross-core pairings for a
   /// whole run (a task would face the same concurrent partner forever,
   /// decided by initial alignment); real timer/interrupt noise rotates
-  /// pairings, and this jitter models that.
+  /// pairings, and this jitter models that. Must lie in [0, 1).
   double quantum_jitter = 0.2;
   /// Direct cost charged to the incoming task at each context switch.
   std::uint64_t context_switch_cycles = 2'000;

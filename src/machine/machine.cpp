@@ -18,8 +18,12 @@ Machine::Machine(const MachineConfig& config)
       current_(config.hierarchy.num_cores, kNoTask),
       quantum_left_(config.hierarchy.num_cores, 0),
       jitter_rng_(config.seed ^ 0x9d15ea5e5ull) {
-  has_l3_ = hierarchy_.has_l3();
   if (config.quantum_cycles == 0) throw std::invalid_argument("Machine: zero quantum");
+  // Written so that NaN fails too: at 1 or more a dispatch could draw a
+  // negative quantum, whose cast to uint64_t is undefined.
+  if (!(config.quantum_jitter >= 0.0 && config.quantum_jitter < 1.0)) {
+    throw std::invalid_argument("Machine: quantum_jitter must be in [0, 1)");
+  }
   if (config.batch_steps == 0) throw std::invalid_argument("Machine: zero batch_steps");
   // Sized once here instead of lazily in record_signature(): the cluster
   // width is fixed at construction, and the symhot gate keeps growth out
@@ -117,7 +121,7 @@ void Machine::record_signature(std::size_t core, Task& task) {
       // the footprints are disjoint by construction (filter_unit.hpp); the
       // RBV weight was already computed for the sample.
       const sig::FilterUnit* other = hierarchy_.filter_for_core(c);
-      sample.symbiosis[c] = sig::disjoint_symbiosis_from_weights(
+      sample.symbiosis[c] = sig::disjoint_symbiosis(
           sample.occupancy_weight, other->core_filter_weight(hierarchy_.local_core(c)));
     }
   }
@@ -129,7 +133,7 @@ void Machine::switch_out(std::size_t core) {
   if (id == kNoTask) return;
   Task& t = *tasks_[id];
   record_signature(core, t);
-  scheduler_.yield(core, id);
+  scheduler_.yield(id);
   current_[core] = kNoTask;
 }
 
@@ -218,10 +222,6 @@ void Machine::execute_batch(std::size_t core) {
     counters.l1_misses += l1_misses;
     counters.l2_accesses += l1_misses;
     counters.l2_misses += l2_misses;
-    if (has_l3_) {
-      counters.l3_accesses += l2_misses;
-      counters.l3_misses += l2_misses - s.l3_hits;
-    }
 
     clock_[core] += cycles;
     t.run_user_cycles += cycles;

@@ -115,9 +115,6 @@ class Machine {
   MachineConfig config_;
   cachesim::Hierarchy hierarchy_;
   Scheduler scheduler_;
-  /// Hoisted hierarchy_.has_l3() so the per-batch counter update stays a
-  /// register test.
-  bool has_l3_ = false;
   std::vector<std::unique_ptr<Task>> tasks_;
   std::size_t next_pid_ = 0;
 

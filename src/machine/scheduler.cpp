@@ -27,24 +27,6 @@ void Scheduler::ensure_tracked(TaskId task) {
   }
 }
 
-std::size_t Scheduler::least_loaded_core() {
-  std::size_t best = 0;
-  std::size_t best_depth = queues_[0].size();
-  std::size_t ties = 1;
-  for (std::size_t c = 1; c < queues_.size(); ++c) {
-    const std::size_t depth = queues_[c].size();
-    if (depth < best_depth) {
-      best = c;
-      best_depth = depth;
-      ties = 1;
-    } else if (depth == best_depth) {
-      // Reservoir-style random tie-break keeps migration unbiased.
-      if (rng_.next_below(++ties) == 0) best = c;
-    }
-  }
-  return best;
-}
-
 std::size_t Scheduler::least_loaded_core_near(std::size_t core) {
   const std::size_t base = (core / cores_per_cluster_) * cores_per_cluster_;
   std::size_t best = base;
@@ -57,6 +39,7 @@ std::size_t Scheduler::least_loaded_core_near(std::size_t core) {
       best_depth = depth;
       ties = 1;
     } else if (depth == best_depth) {
+      // Reservoir-style random tie-break keeps migration unbiased.
       if (rng_.next_below(++ties) == 0) best = c;
     }
   }
@@ -111,16 +94,15 @@ bool Scheduler::pick_next(std::size_t core, TaskId& out) {
   return true;
 }
 
-void Scheduler::yield(std::size_t core, TaskId task) {
+void Scheduler::yield(TaskId task) {
   ensure_tracked(task);
   std::size_t target = affinity_[task];
   if (target == Task::kAnyCore) {
     // OS load balancing: unpinned tasks occasionally drift to the emptiest
     // queue; otherwise they stay put (cache-affinity-style stickiness).
-    // Clustered machines balance within the cluster only (see class doc);
-    // the single-cluster case takes the exact pre-cluster code path.
+    // Clustered machines balance within the cluster only (see class doc).
     if (rng_.next_bool(migration_prob_)) {
-      target = clustered() ? least_loaded_core_near(assignment_[task]) : least_loaded_core();
+      target = least_loaded_core_near(assignment_[task]);
     } else {
       target = assignment_[task];
     }
@@ -129,32 +111,15 @@ void Scheduler::yield(std::size_t core, TaskId task) {
       migrations.add(1);
     }
   }
-  (void)core;
   SYM_DCHECK_BOUNDS(target, queues_.size(), "machine.affinity")
       << "yield routed task " << task << " to a nonexistent core";
   assignment_[task] = target;
   queues_.at(target).push_back(task);
 }
 
-void Scheduler::remove(TaskId task) {
-  if (task >= assignment_.size()) return;
-  for (auto& queue : queues_) {
-    const auto it = std::find(queue.begin(), queue.end(), task);
-    if (it != queue.end()) {
-      queue.erase(it);
-      break;
-    }
-  }
-}
-
 std::size_t Scheduler::core_of(TaskId task) const {
   if (task >= assignment_.size()) return Task::kAnyCore;
   return assignment_[task];
-}
-
-bool Scheduler::empty() const noexcept {
-  return std::all_of(queues_.begin(), queues_.end(),
-                     [](const auto& queue) { return queue.empty(); });
 }
 
 }  // namespace symbiosis::machine

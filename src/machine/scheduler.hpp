@@ -36,8 +36,7 @@ class Scheduler {
   /// domains preferring intra-LLC balancing — a cross-cluster move would
   /// forfeit the task's whole shared-cache footprint. Cross-cluster
   /// placement stays the allocation layer's job (set_affinity). With one
-  /// cluster this degenerates to the original global balancer, drawing the
-  /// same RNG sequence.
+  /// cluster the balancer scans every core.
   explicit Scheduler(std::size_t num_cores, std::uint64_t seed = 1,
                      double migration_prob = 0.15, std::size_t cores_per_cluster = 0);
 
@@ -55,21 +54,15 @@ class Scheduler {
   /// when the core's queue is empty. The task becomes "running".
   [[nodiscard]] bool pick_next(std::size_t core, TaskId& out);
 
-  /// Return the running task of @p core to the back of the right queue
-  /// (honouring any pending affinity migration).
-  void yield(std::size_t core, TaskId task);
-
-  /// Remove a task entirely (not used for restarts — only for teardown).
-  void remove(TaskId task);
+  /// Return a running task to the back of the right queue (honouring any
+  /// pending affinity migration).
+  void yield(TaskId task);
 
   /// Tasks queued on (not running on) @p core.
   [[nodiscard]] std::size_t queue_depth(std::size_t core) const { return queues_.at(core).size(); }
 
   /// The queue a task will run on next (its effective core assignment).
   [[nodiscard]] std::size_t core_of(TaskId task) const;
-
-  /// True when no queue holds any task (everything torn down).
-  [[nodiscard]] bool empty() const noexcept;
 
  private:
   std::vector<std::deque<TaskId>> queues_;
@@ -80,9 +73,7 @@ class Scheduler {
   std::size_t cores_per_cluster_;
   util::Rng rng_;
 
-  [[nodiscard]] bool clustered() const noexcept { return cores_per_cluster_ < queues_.size(); }
   void ensure_tracked(TaskId task);
-  [[nodiscard]] std::size_t least_loaded_core();
   /// Least-loaded queue among the cores sharing @p core's cluster L2.
   [[nodiscard]] std::size_t least_loaded_core_near(std::size_t core);
 };

@@ -28,19 +28,9 @@ struct TaskCounters {
   std::uint64_t l1_misses = 0;
   std::uint64_t l2_accesses = 0;
   std::uint64_t l2_misses = 0;
-  /// L3 traffic; stays zero on topologies without an L3.
-  std::uint64_t l3_accesses = 0;
-  std::uint64_t l3_misses = 0;
   std::uint64_t tlb_misses = 0;
   std::uint64_t page_faults = 0;
   std::uint64_t context_switches = 0;
-
-  [[nodiscard]] double l2_miss_rate() const noexcept {
-    return l2_accesses ? static_cast<double>(l2_misses) / static_cast<double>(l2_accesses) : 0.0;
-  }
-  [[nodiscard]] double l3_miss_rate() const noexcept {
-    return l3_accesses ? static_cast<double>(l3_misses) / static_cast<double>(l3_accesses) : 0.0;
-  }
 };
 
 /// A schedulable task.

@@ -44,23 +44,12 @@ SymMatrix build_interference_graph(const std::vector<TaskProfile>& profiles, boo
   return w;
 }
 
-Allocation InterferenceGraphAllocator::allocate(const std::vector<TaskProfile>& profiles,
-                                                std::size_t groups) {
+Allocation GraphAllocator::allocate(const std::vector<TaskProfile>& profiles,
+                                    std::size_t groups) {
   if (profiles.size() < groups) {
-    throw std::invalid_argument("InterferenceGraphAllocator: fewer tasks than groups");
+    throw std::invalid_argument("GraphAllocator: fewer tasks than groups");
   }
-  const SymMatrix w = build_interference_graph(profiles, /*weighted=*/false);
-  Allocation alloc = balanced_min_cut(w, groups, MinCutMethod::Auto, seed_);
-  SYM_RECORD(decision_event(name(), w, alloc));
-  return alloc;
-}
-
-Allocation WeightedGraphAllocator::allocate(const std::vector<TaskProfile>& profiles,
-                                            std::size_t groups) {
-  if (profiles.size() < groups) {
-    throw std::invalid_argument("WeightedGraphAllocator: fewer tasks than groups");
-  }
-  const SymMatrix w = build_interference_graph(profiles, /*weighted=*/true);
+  const SymMatrix w = build_interference_graph(profiles, weighted_);
   Allocation alloc = balanced_min_cut(w, groups, MinCutMethod::Auto, seed_);
   SYM_RECORD(decision_event(name(), w, alloc));
   return alloc;

@@ -24,30 +24,22 @@ namespace symbiosis::sched {
 [[nodiscard]] SymMatrix build_interference_graph(const std::vector<TaskProfile>& profiles,
                                                  bool weighted);
 
-/// §3.3.2: plain interference graph + balanced MIN-CUT.
-class InterferenceGraphAllocator final : public Allocator {
+/// Interference graph + balanced MIN-CUT: §3.3.2's plain graph ("graph"),
+/// or with @p weighted §3.3.3's occupancy-weighted graph
+/// ("weighted-graph"), the paper's best algorithm.
+class GraphAllocator final : public Allocator {
  public:
-  explicit InterferenceGraphAllocator(std::uint64_t seed = 1) : seed_(seed) {}
+  explicit GraphAllocator(bool weighted, std::uint64_t seed = 1)
+      : weighted_(weighted), seed_(seed) {}
 
-  [[nodiscard]] std::string name() const override { return "graph"; }
+  [[nodiscard]] std::string name() const override {
+    return weighted_ ? "weighted-graph" : "graph";
+  }
   [[nodiscard]] Allocation allocate(const std::vector<TaskProfile>& profiles,
                                     std::size_t groups) override;
 
  private:
-  std::uint64_t seed_;
-};
-
-/// §3.3.3: occupancy-weighted interference graph + balanced MIN-CUT.
-/// The paper's best algorithm.
-class WeightedGraphAllocator final : public Allocator {
- public:
-  explicit WeightedGraphAllocator(std::uint64_t seed = 1) : seed_(seed) {}
-
-  [[nodiscard]] std::string name() const override { return "weighted-graph"; }
-  [[nodiscard]] Allocation allocate(const std::vector<TaskProfile>& profiles,
-                                    std::size_t groups) override;
-
- private:
+  bool weighted_;
   std::uint64_t seed_;
 };
 

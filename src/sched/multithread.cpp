@@ -3,8 +3,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "sched/weight_sort.hpp"
-
 namespace symbiosis::sched {
 
 std::vector<std::size_t> MultiThreadAllocator::phase1_groups(
@@ -14,14 +12,14 @@ std::vector<std::size_t> MultiThreadAllocator::phase1_groups(
   std::map<std::size_t, std::vector<std::size_t>> by_pid;
   for (std::size_t i = 0; i < profiles.size(); ++i) by_pid[profiles[i].pid].push_back(i);
 
-  WeightSortAllocator weight_sort;
+  const auto weight_sort = make_allocator("weight-sort");
   for (const auto& [pid, members] : by_pid) {
     if (members.size() <= 1) continue;  // single-threaded: nothing to split
     std::vector<TaskProfile> subset;
     subset.reserve(members.size());
     for (const auto idx : members) subset.push_back(profiles[idx]);
     const std::size_t sub_groups = std::min(groups, members.size());
-    const Allocation intra = weight_sort.allocate(subset, sub_groups);
+    const Allocation intra = weight_sort->allocate(subset, sub_groups);
     for (std::size_t k = 0; k < members.size(); ++k) {
       result[members[k]] = intra.group_of[k];
     }

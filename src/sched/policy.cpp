@@ -6,7 +6,6 @@
 
 #include "sched/interference_graph.hpp"
 #include "sched/multithread.hpp"
-#include "sched/weight_sort.hpp"
 #include "util/rng.hpp"
 
 namespace symbiosis::sched {
@@ -41,15 +40,15 @@ Allocation RandomAllocator::allocate(const std::vector<TaskProfile>& profiles,
   return alloc;
 }
 
-Allocation MissRateAllocator::allocate(const std::vector<TaskProfile>& profiles,
-                                       std::size_t groups) {
-  if (groups == 0) throw std::invalid_argument("MissRateAllocator: groups must be > 0");
+Allocation RankAllocator::allocate(const std::vector<TaskProfile>& profiles,
+                                   std::size_t groups) {
+  if (groups == 0) throw std::invalid_argument("RankAllocator: groups must be > 0");
   const std::size_t n = profiles.size();
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return profiles[a].l2_misses_per_kilo_instr > profiles[b].l2_misses_per_kilo_instr;
+    return profiles[a].*key_ > profiles[b].*key_;
   });
 
   const std::size_t group_size = (n + groups - 1) / groups;
@@ -65,10 +64,14 @@ Allocation MissRateAllocator::allocate(const std::vector<TaskProfile>& profiles,
 std::unique_ptr<Allocator> make_allocator(const std::string& name, std::uint64_t seed) {
   if (name == "default") return std::make_unique<DefaultAllocator>();
   if (name == "random") return std::make_unique<RandomAllocator>(seed);
-  if (name == "miss-rate") return std::make_unique<MissRateAllocator>();
-  if (name == "weight-sort") return std::make_unique<WeightSortAllocator>();
-  if (name == "graph") return std::make_unique<InterferenceGraphAllocator>(seed);
-  if (name == "weighted-graph") return std::make_unique<WeightedGraphAllocator>(seed);
+  if (name == "miss-rate") {
+    return std::make_unique<RankAllocator>(name, &TaskProfile::l2_misses_per_kilo_instr);
+  }
+  if (name == "weight-sort") {
+    return std::make_unique<RankAllocator>(name, &TaskProfile::occupancy_weight);
+  }
+  if (name == "graph") return std::make_unique<GraphAllocator>(/*weighted=*/false, seed);
+  if (name == "weighted-graph") return std::make_unique<GraphAllocator>(/*weighted=*/true, seed);
   if (name == "multithread") return std::make_unique<MultiThreadAllocator>(seed);
   throw std::invalid_argument("unknown allocator: " + name);
 }

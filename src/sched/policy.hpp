@@ -1,4 +1,6 @@
-// policy.hpp — the resource-allocation policy interface and baselines.
+// policy.hpp — the resource-allocation policy interface, the rank
+// allocator (§3.3.1 and the miss-rate baseline), the placement baselines and
+// the allocator registry.
 //
 // §3.2: allocation decisions are made in a user-level monitoring process
 // that periodically reads the per-process signature structures from the OS
@@ -9,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sched/allocation.hpp"
@@ -26,8 +29,7 @@ struct TaskProfile {
   std::vector<double> symbiosis_per_core;  ///< mean popcount(RBV ⊕ CF[c])
   std::size_t last_core = 0;
 
-  // Conventional event counters (for the miss-rate baseline of §6 / [40]):
-  double l2_miss_rate = 0.0;
+  // Conventional event counter (for the miss-rate baseline of §6 / [40]):
   double l2_misses_per_kilo_instr = 0.0;
 
   /// Interference metric with @p core: 1 / symbiosis, clamped (§3.3.2).
@@ -45,6 +47,28 @@ class Allocator {
   /// @param groups number of cores to fill (= groups in the result)
   [[nodiscard]] virtual Allocation allocate(const std::vector<TaskProfile>& profiles,
                                             std::size_t groups) = 0;
+};
+
+/// Rank-and-chunk placement: sort tasks by @p key, largest first (stable on
+/// ties), and give each core the next ⌈P/N⌉ of them; the final group may be
+/// smaller. Keyed on RBV occupancy weight this is §3.3.1's Weight Sorting
+/// Algorithm ("weight-sort"): heavy-footprint processes end up time-sliced
+/// on one core instead of thrashing the shared L2 together. Keyed on L2
+/// MPKI it is the related-work miss-rate baseline ([40] and §2.2's
+/// critique; "miss-rate"), which isolates the value of the Bloom-filter
+/// occupancy weight.
+class RankAllocator final : public Allocator {
+ public:
+  using Key = double TaskProfile::*;
+
+  RankAllocator(std::string name, Key key) : name_(std::move(name)), key_(key) {}
+  [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] Allocation allocate(const std::vector<TaskProfile>& profiles,
+                                    std::size_t groups) override;
+
+ private:
+  std::string name_;
+  Key key_;
 };
 
 // --- baselines (not from the paper's §3.3; used as comparison anchors) ---
@@ -68,17 +92,6 @@ class RandomAllocator final : public Allocator {
 
  private:
   std::uint64_t seed_;
-};
-
-/// Related-work baseline ([40] and §2.2's critique): sort by L2 miss rate
-/// and group the heaviest missers together. Uses exactly the weight-sorting
-/// structure but with miss rate instead of the footprint signature —
-/// isolating the value of the Bloom-filter occupancy weight.
-class MissRateAllocator final : public Allocator {
- public:
-  [[nodiscard]] std::string name() const override { return "miss-rate"; }
-  [[nodiscard]] Allocation allocate(const std::vector<TaskProfile>& profiles,
-                                    std::size_t groups) override;
 };
 
 /// Registry: "default" | "random" | "miss-rate" | "weight-sort" | "graph" |

@@ -161,17 +161,11 @@ class FilterUnit {
 /// footprints cannot overlap by construction and popcount(RBV XOR CF)
 /// reduces to popcount(RBV) + popcount(CF) — maximal symbiosis, which is
 /// exactly right: processes in different clusters do not contend for cache
-/// space at all. @p other_weight is the other unit's core_filter_weight().
-[[nodiscard]] inline std::size_t disjoint_symbiosis(const BitVector& rbv,
+/// space at all. @p rbv_weight is popcount(RBV) (a signature sample's
+/// occupancy weight) and @p other_weight the other unit's
+/// core_filter_weight().
+[[nodiscard]] inline std::size_t disjoint_symbiosis(std::size_t rbv_weight,
                                                     std::size_t other_weight) noexcept {
-  return rbv.popcount() + other_weight;
-}
-
-/// disjoint_symbiosis() for a caller that already holds popcount(RBV) —
-/// e.g. as the signature sample's occupancy weight — so a loop over N
-/// remote cores pays for the RBV popcount once, not N times.
-[[nodiscard]] inline std::size_t disjoint_symbiosis_from_weights(
-    std::size_t rbv_weight, std::size_t other_weight) noexcept {
   return rbv_weight + other_weight;
 }
 

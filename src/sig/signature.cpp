@@ -1,21 +1,15 @@
 #include "sig/signature.hpp"
 
-#include <stdexcept>
-
 #include "util/check.hpp"
 
 namespace symbiosis::sig {
 
 void ProcessSignature::resize(std::size_t num_cores) {
-  latest_sym_.assign(num_cores, 0);
   sym_sum_.assign(num_cores, 0.0);
-  sym_samples_.assign(num_cores, 0);
   last_core_ = 0;
   latest_occupancy_ = 0;
   samples_ = 0;
   occ_sum_ = 0.0;
-  cross_sum_ = 0.0;
-  cross_n_ = 0;
 }
 
 void ProcessSignature::record(const SignatureSample& sample) {
@@ -23,7 +17,6 @@ void ProcessSignature::record(const SignatureSample& sample) {
       << "sample core count disagrees with resize()";
   last_core_ = sample.core;
   latest_occupancy_ = sample.occupancy_weight;
-  latest_sym_ = sample.symbiosis;
 
   ++samples_;
   occ_sum_ += static_cast<double>(sample.occupancy_weight);
@@ -32,21 +25,13 @@ void ProcessSignature::record(const SignatureSample& sample) {
     // (the RBV-vs-own-CF comparison measures co-resident footprints from
     // earlier quanta on the same core).
     sym_sum_[c] += static_cast<double>(sample.symbiosis[c]);
-    ++sym_samples_[c];
-    if (c != sample.core) {
-      cross_sum_ += static_cast<double>(sample.symbiosis[c]);
-      ++cross_n_;
-    }
   }
 }
 
 void ProcessSignature::clear_window() noexcept {
   samples_ = 0;
   occ_sum_ = 0.0;
-  cross_sum_ = 0.0;
-  cross_n_ = 0;
   for (auto& s : sym_sum_) s = 0.0;
-  for (auto& n : sym_samples_) n = 0;
 }
 
 double ProcessSignature::mean_occupancy() const noexcept {
@@ -54,21 +39,8 @@ double ProcessSignature::mean_occupancy() const noexcept {
 }
 
 double ProcessSignature::mean_symbiosis(std::size_t core) const {
-  const auto n = sym_samples_.at(core);
-  return n ? sym_sum_[core] / static_cast<double>(n) : 0.0;
-}
-
-double ProcessSignature::mean_cross_symbiosis() const {
-  return cross_n_ ? cross_sum_ / static_cast<double>(cross_n_) : 0.0;
-}
-
-double ProcessSignature::interference_with(std::size_t core) const {
-  const double sym = mean_symbiosis(core);
-  // §3.3.2: interference = 1 / symbiosis. Clamp zero-symbiosis (empty
-  // vectors or identical footprints) to a large finite interference.
-  constexpr double kMaxInterference = 1.0;  // 1/sym with sym >= 1
-  if (sym < 1.0) return kMaxInterference;
-  return 1.0 / sym;
+  const double sum = sym_sum_.at(core);
+  return samples_ ? sum / static_cast<double>(samples_) : 0.0;
 }
 
 }  // namespace symbiosis::sig

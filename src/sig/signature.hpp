@@ -3,13 +3,13 @@
 // §3.2: for each application the OS/hypervisor keeps a (2 + N)-entry
 // structure — last core, occupancy weight, and symbiosis with each of the
 // N cores — updated at every context switch from the FilterUnit's RBV.
-// ProcessSignature additionally keeps windowed means so the user-level
+// ProcessSignature keeps the last core and weight as they are, and the
+// weight and per-core symbiosis as window means, so the user-level
 // allocator (invoked every ~100 ms, i.e. every many context switches) sees
 // a stable aggregate rather than one noisy quantum.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace symbiosis::sig {
@@ -36,37 +36,22 @@ class ProcessSignature {
   /// calls this after each invocation so each decision window is fresh.
   void clear_window() noexcept;
 
-  // --- latest values (the paper's raw (2+N) structure) ---
+  // --- latest values ---
   [[nodiscard]] std::size_t last_core() const noexcept { return last_core_; }
   [[nodiscard]] std::size_t latest_occupancy() const noexcept { return latest_occupancy_; }
-  [[nodiscard]] std::size_t latest_symbiosis(std::size_t core) const {
-    return latest_sym_.at(core);
-  }
 
   // --- windowed means (what the allocator consumes) ---
   [[nodiscard]] std::size_t samples() const noexcept { return samples_; }
   [[nodiscard]] double mean_occupancy() const noexcept;
   [[nodiscard]] double mean_symbiosis(std::size_t core) const;
-  /// Mean symbiosis with every core EXCEPT the process's own last core
-  /// (self-symbiosis compares the RBV against the CF it came from and is
-  /// not meaningful for placement).
-  [[nodiscard]] double mean_cross_symbiosis() const;
-
-  /// Interference metric = 1 / symbiosis (§3.3.2); symbiosis of zero maps
-  /// to a large finite value so the graph stays well-defined.
-  [[nodiscard]] double interference_with(std::size_t core) const;
 
  private:
   std::size_t last_core_ = 0;
   std::size_t latest_occupancy_ = 0;
-  std::vector<std::size_t> latest_sym_;
 
   std::size_t samples_ = 0;
   double occ_sum_ = 0.0;
-  double cross_sum_ = 0.0;
-  std::size_t cross_n_ = 0;
   std::vector<double> sym_sum_;
-  std::vector<std::size_t> sym_samples_;
 };
 
 }  // namespace symbiosis::sig

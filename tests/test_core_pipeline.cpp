@@ -38,7 +38,7 @@ TEST(Profile, ExtractsSignatureAndCounters) {
   EXPECT_EQ(profiles[0].task_index, 0u);
   EXPECT_EQ(profiles[0].symbiosis_per_core.size(), 2u);
   EXPECT_GT(profiles[1].occupancy_weight, 0.0);
-  EXPECT_GE(profiles[0].l2_miss_rate, 0.0);
+  EXPECT_GE(profiles[0].l2_misses_per_kilo_instr, 0.0);
 }
 
 TEST(Profile, ApplyAllocationSetsAffinities) {

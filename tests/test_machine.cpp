@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/check.hpp"
 #include "workload/benchmark_model.hpp"
 
@@ -222,6 +224,20 @@ TEST(Machine, Validation) {
   EXPECT_THROW(Machine{cfg}, std::invalid_argument);
   Machine m(tiny_machine());
   EXPECT_THROW(m.add_process({}), std::invalid_argument);
+}
+
+TEST(Machine, QuantumJitterMustLieInZeroToOne) {
+  // At 1 or more a dispatch could draw a negative quantum.
+  for (const double bad : {1.5, -0.1, std::nan("")}) {
+    MachineConfig cfg = tiny_machine();
+    cfg.quantum_jitter = bad;
+    EXPECT_THROW(Machine{cfg}, std::invalid_argument) << bad;
+  }
+  for (const double good : {0.0, 0.99}) {
+    MachineConfig cfg = tiny_machine();
+    cfg.quantum_jitter = good;
+    EXPECT_NO_THROW(Machine{cfg}) << good;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "sched/interference_graph.hpp"
-#include "sched/weight_sort.hpp"
 #include "sig/filter_unit.hpp"
 #include "util/rng.hpp"
 
@@ -88,8 +87,8 @@ TEST(PaperInvariants, WeightSortOrderInvariant) {
     profiles[i].occupancy_weight = 100.0 + static_cast<double>(rng.next_below(1000));
     profiles[i].symbiosis_per_core = {100.0, 100.0};
   }
-  sched::WeightSortAllocator alloc;
-  const sched::Allocation direct = alloc.allocate(profiles, 2);
+  const auto alloc = sched::make_allocator("weight-sort");
+  const sched::Allocation direct = alloc->allocate(profiles, 2);
 
   // Shuffle, allocate, then un-shuffle the grouping.
   std::vector<std::size_t> order(profiles.size());
@@ -97,7 +96,7 @@ TEST(PaperInvariants, WeightSortOrderInvariant) {
   rng.shuffle(order);
   std::vector<sched::TaskProfile> shuffled;
   for (const auto idx : order) shuffled.push_back(profiles[idx]);
-  const sched::Allocation shuffled_alloc = alloc.allocate(shuffled, 2);
+  const sched::Allocation shuffled_alloc = alloc->allocate(shuffled, 2);
 
   sched::Allocation unshuffled;
   unshuffled.groups = 2;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/online.hpp"
 
 namespace symbiosis::core {
 namespace {
@@ -98,6 +99,35 @@ TEST(PhasePins, ParsecVote) {
   EXPECT_EQ(result.chosen.key(), "0,1,0,1,1,1,0,0");
   EXPECT_EQ(result.votes,
             (std::map<std::string, int>{{"0,0,1,1,0,0,1,1", 1}, {"0,1,0,1,1,1,0,0", 2}}));
+}
+
+OnlineRun online(const std::string& allocator) {
+  OnlineConfig config;
+  config.pipeline = tiny_pipeline();
+  config.pipeline.allocator = allocator;
+  return run_online(config, kSpecMix);
+}
+
+// The live monitor: the same mix with the allocator re-pinning as it goes
+// (default confirmation hysteresis).
+TEST(OnlinePins, WeightedGraph) {
+  const OnlineRun run = online("weighted-graph");
+  ASSERT_TRUE(run.completed);
+  EXPECT_EQ(run.names, kSpecMix);
+  EXPECT_EQ(run.wall_cycles, 4047700u);
+  EXPECT_EQ(run.repinnings, 2u);
+  EXPECT_EQ(run.final_mapping_key, "0,1,0,1");
+  EXPECT_EQ(run.user_cycles, (std::vector<std::uint64_t>{2003489, 804092, 1049875, 1230732}));
+}
+
+TEST(OnlinePins, WeightSort) {
+  const OnlineRun run = online("weight-sort");
+  ASSERT_TRUE(run.completed);
+  EXPECT_EQ(run.names, kSpecMix);
+  EXPECT_EQ(run.wall_cycles, 4446653u);
+  EXPECT_EQ(run.repinnings, 3u);
+  EXPECT_EQ(run.final_mapping_key, "0,0,1,1");
+  EXPECT_EQ(run.user_cycles, (std::vector<std::uint64_t>{2191513, 804092, 1049875, 1230732}));
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "sched/interference_graph.hpp"
-#include "sched/weight_sort.hpp"
 
 namespace symbiosis::sched {
 namespace {
@@ -29,8 +28,7 @@ TEST(WeightSort, GroupsHeaviestTogether) {
       profile(0, 40, {0, 0}), profile(1, 10, {0, 0}),
       profile(2, 35, {0, 0}), profile(3, 5, {0, 0}),
   };
-  WeightSortAllocator alloc;
-  const Allocation result = alloc.allocate(profiles, 2);
+  const Allocation result = make_allocator("weight-sort")->allocate(profiles, 2);
   EXPECT_EQ(result.group_of[0], result.group_of[2]);
   EXPECT_EQ(result.group_of[1], result.group_of[3]);
   EXPECT_NE(result.group_of[0], result.group_of[1]);
@@ -42,7 +40,7 @@ TEST(WeightSort, CeilGroupSize) {
       profile(0, 50, {0, 0}), profile(1, 40, {0, 0}), profile(2, 30, {0, 0}),
       profile(3, 20, {0, 0}), profile(4, 10, {0, 0}),
   };
-  const Allocation result = WeightSortAllocator().allocate(profiles, 2);
+  const Allocation result = make_allocator("weight-sort")->allocate(profiles, 2);
   EXPECT_EQ(result.members(0).size(), 3u);
   EXPECT_EQ(result.group_of[0], result.group_of[1]);
   EXPECT_EQ(result.group_of[1], result.group_of[2]);
@@ -53,7 +51,7 @@ TEST(WeightSort, StableOnTies) {
       profile(0, 10, {0, 0}), profile(1, 10, {0, 0}),
       profile(2, 10, {0, 0}), profile(3, 10, {0, 0}),
   };
-  const Allocation result = WeightSortAllocator().allocate(profiles, 2);
+  const Allocation result = make_allocator("weight-sort")->allocate(profiles, 2);
   // Stable sort keeps index order: {0,1} and {2,3}.
   EXPECT_EQ(result.group_of[0], result.group_of[1]);
   EXPECT_EQ(result.group_of[2], result.group_of[3]);
@@ -80,7 +78,7 @@ TEST(MissRateAllocator, GroupsByMpki) {
       profile(0, 0, {0, 0}, 0, 9.0), profile(1, 0, {0, 0}, 0, 0.1),
       profile(2, 0, {0, 0}, 0, 7.0), profile(3, 0, {0, 0}, 0, 0.2),
   };
-  const Allocation result = MissRateAllocator().allocate(profiles, 2);
+  const Allocation result = make_allocator("miss-rate")->allocate(profiles, 2);
   EXPECT_EQ(result.group_of[0], result.group_of[2]);  // the two missers
   EXPECT_EQ(result.group_of[1], result.group_of[3]);
 }
@@ -140,7 +138,7 @@ TEST(WeightedGraph, WeightSuppressesTinyProcesses) {
       profile(2, 900, {40, 2000}, 1),    // on core 1, hates core 0 (P1's)
       profile(3, 3, {2500, 2500}, 1),
   };
-  const Allocation weighted = WeightedGraphAllocator().allocate(tiny_noise, 2);
+  const Allocation weighted = GraphAllocator(/*weighted=*/true).allocate(tiny_noise, 2);
   // The two heavy mutually-hostile processes pair up despite the noisy tiny
   // process having the numerically highest raw interference.
   EXPECT_EQ(weighted.group_of[1], weighted.group_of[2]);
@@ -156,8 +154,9 @@ TEST(Registry, KnownNamesAndErrors) {
 
 TEST(Policies, Validation) {
   std::vector<TaskProfile> profiles(2);
-  EXPECT_THROW(WeightSortAllocator().allocate(profiles, 0), std::invalid_argument);
-  EXPECT_THROW(InterferenceGraphAllocator().allocate(profiles, 3), std::invalid_argument);
+  EXPECT_THROW(make_allocator("weight-sort")->allocate(profiles, 0), std::invalid_argument);
+  EXPECT_THROW(make_allocator("miss-rate")->allocate(profiles, 0), std::invalid_argument);
+  EXPECT_THROW(GraphAllocator(/*weighted=*/false).allocate(profiles, 3), std::invalid_argument);
   EXPECT_THROW(DefaultAllocator().allocate(profiles, 0), std::invalid_argument);
 }
 

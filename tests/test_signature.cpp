@@ -20,8 +20,6 @@ TEST(ProcessSignature, LatestValuesTrackLastSample) {
   sig.record(sample(1, 200, {60, 20}));
   EXPECT_EQ(sig.last_core(), 1u);
   EXPECT_EQ(sig.latest_occupancy(), 200u);
-  EXPECT_EQ(sig.latest_symbiosis(0), 60u);
-  EXPECT_EQ(sig.latest_symbiosis(1), 20u);
 }
 
 TEST(ProcessSignature, WindowMeans) {
@@ -34,16 +32,6 @@ TEST(ProcessSignature, WindowMeans) {
   EXPECT_DOUBLE_EQ(sig.mean_symbiosis(1), 60.0);
 }
 
-TEST(ProcessSignature, CrossSymbiosisExcludesOwnCore) {
-  ProcessSignature sig(2);
-  sig.record(sample(0, 10, {5, 100}));
-  // Ran on core 0 -> cross = symbiosis with core 1 only.
-  EXPECT_DOUBLE_EQ(sig.mean_cross_symbiosis(), 100.0);
-  sig.record(sample(1, 10, {40, 5}));
-  // Now cross samples are {100 (c1), 40 (c0)} -> mean 70.
-  EXPECT_DOUBLE_EQ(sig.mean_cross_symbiosis(), 70.0);
-}
-
 TEST(ProcessSignature, ClearWindowKeepsLatest) {
   ProcessSignature sig(2);
   sig.record(sample(1, 77, {12, 34}));
@@ -53,16 +41,6 @@ TEST(ProcessSignature, ClearWindowKeepsLatest) {
   EXPECT_DOUBLE_EQ(sig.mean_symbiosis(0), 0.0);
   EXPECT_EQ(sig.latest_occupancy(), 77u);  // the (2+N) structure survives
   EXPECT_EQ(sig.last_core(), 1u);
-}
-
-TEST(ProcessSignature, InterferenceIsReciprocalClamped) {
-  ProcessSignature sig(2);
-  sig.record(sample(0, 10, {4, 100}));
-  EXPECT_DOUBLE_EQ(sig.interference_with(1), 0.01);
-  // Symbiosis below 1 clamps to the max interference of 1.
-  ProcessSignature zero(2);
-  zero.record(sample(0, 10, {0, 0}));
-  EXPECT_DOUBLE_EQ(zero.interference_with(1), 1.0);
 }
 
 TEST(ProcessSignature, ResizeResetsState) {
