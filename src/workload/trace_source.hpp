@@ -64,8 +64,14 @@ std::uint64_t record_stream(SymtWriter& writer, std::size_t thread, TaskStream& 
                             std::uint64_t refs);
 
 /// Convert a mix of pool benchmarks to a multi-threaded .symt image: thread
-/// i carries @p refs_per_thread references of benchmark names[i] generated
-/// at machine-style disjoint base addresses with per-thread split seeds.
+/// i carries the first min(@p refs_per_thread, total_refs) references of one
+/// run of benchmark names[i], generated at machine-style disjoint base
+/// addresses with per-thread split seeds. A program whose run ends first
+/// records fewer than @p refs_per_thread (at scale 1 the pool's runs hold
+/// 0.7 M–1.2 M references). An unknown name throws std::invalid_argument
+/// naming the first one in index order, before any stream is recorded. The
+/// streams are recorded concurrently, one pool task each, and the image
+/// does not depend on the number of hardware threads.
 [[nodiscard]] std::vector<std::uint8_t> symt_from_benchmarks(
     const std::vector<std::string>& names, std::uint64_t refs_per_thread, std::uint64_t seed,
     const ScaleConfig& scale = {});

@@ -6,6 +6,8 @@
 //     to replay_generated, for every pool benchmark);
 //   * deterministic re-replay (identical ReplayResult and identical
 //     trace_replay run reports modulo the volatile sections);
+//   * the concurrent recorder (symt_from_benchmarks) byte-identical to a
+//     serial loop into one writer;
 // and locks the synchronization semantics: happens-before via signal/wait
 // and barriers, one-signal-one-wait consumption, and diagnostics (never
 // hangs) for deadlocked or malformed traces.
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -374,6 +377,66 @@ TEST(TraceSourceApi, SymtStreamSkipsSyncRecordsAndRestarts) {
   stream.restart();
   EXPECT_EQ(stream.refs_issued(), 0u);
   EXPECT_EQ(stream.next().addr, 64u);
+}
+
+/// symt_from_benchmarks' contract as a serial loop: one writer, the
+/// programs recorded one after another.
+std::vector<std::uint8_t> serial_symt(const std::vector<std::string>& names, std::uint64_t refs,
+                                      std::uint64_t seed, const ScaleConfig& scale = {}) {
+  SymtWriter writer(names.size());
+  const util::Rng root(seed);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto base = static_cast<cachesim::Addr>(i + 1) << 40;
+    auto workload = make_spec_workload(names[i], base, root.split(i), scale);
+    record_stream(writer, i, *workload, refs);
+  }
+  return writer.finish();
+}
+
+TEST(TraceSourceApi, ParallelRecordingMatchesSerialWriter) {
+  const std::vector<std::string>& pool = spec2006_pool();
+  for (const std::uint64_t refs : {0u, 1u, 5000u}) {
+    EXPECT_EQ(symt_from_benchmarks(pool, refs, 41), serial_symt(pool, refs, 41))
+        << refs << " refs";
+  }
+  // At this scale the pool's runs hold 2,100-3,600 references, so some
+  // programs stop before 3,000 and the rest are cut at it.
+  ScaleConfig scale;
+  scale.length_scale = 0.003;
+  const auto image = symt_from_benchmarks(pool, 3000, 43, scale);
+  EXPECT_EQ(image, serial_symt(pool, 3000, 43, scale));
+  const SymtTrace trace = SymtTrace::from_buffer(image);
+  std::size_t ended = 0;
+  std::size_t cut = 0;
+  for (std::size_t t = 0; t < trace.num_threads(); ++t) {
+    const std::uint64_t records = trace.thread(t).records;
+    const std::uint64_t run = make_spec_benchmark(pool[t], scale).total_refs;
+    EXPECT_EQ(records, std::min<std::uint64_t>(3000, run)) << pool[t];
+    (records < 3000 ? ended : cut) += 1;
+  }
+  EXPECT_GT(ended, 0u);
+  EXPECT_GT(cut, 0u);
+
+  const std::vector<std::string> one{"omnetpp"};
+  EXPECT_EQ(symt_from_benchmarks(one, 5000, 47), serial_symt(one, 5000, 47));
+  // The same program twice: two streams on distinct bases and seeds.
+  const std::vector<std::string> twice{"mcf", "hmmer", "mcf"};
+  const auto twice_image = symt_from_benchmarks(twice, 5000, 53);
+  EXPECT_EQ(twice_image, serial_symt(twice, 5000, 53));
+  const SymtTrace twice_trace = SymtTrace::from_buffer(twice_image);
+  EXPECT_FALSE(std::equal(twice_trace.payload_begin(0), twice_trace.payload_end(0),
+                          twice_trace.payload_begin(2), twice_trace.payload_end(2)));
+}
+
+TEST(TraceSourceApi, FirstUnknownProgramWins) {
+  const std::vector<std::string> names{"mcf", "hmmer", "nosuch2", "gobmk", "sjeng", "nosuch5"};
+  try {
+    (void)symt_from_benchmarks(names, 100, 7);
+    FAIL() << "an unknown program was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nosuch2"), std::string::npos) << e.what();
+    EXPECT_EQ(std::string(e.what()).find("nosuch5"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace
